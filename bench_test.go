@@ -4,9 +4,8 @@ package psd
 // (Section 8). Each bench regenerates the corresponding rows via the
 // internal/eval harness at QuickScale (163K points, 60 queries/shape) so
 // `go test -bench=.` completes in minutes; the cmd/psdbench tool runs the
-// same code at the full paper scale. Headline numbers are attached to the
-// benchmark output via b.ReportMetric, and EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// same code at the full paper scale (see the README's Benchmarks section).
+// Headline numbers are attached to the benchmark output via b.ReportMetric.
 
 import (
 	"bytes"
@@ -332,10 +331,8 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCountAll measures batch range-query throughput (the serving
-// path) across the parallelism axis, for both read engines: the arena
-// (pointer-per-node tree) and the sealed slab (structure-of-arrays). The
-// two return bit-identical answers; the axis isolates the layout.
+// BenchmarkCountAll measures batch range-query throughput, one DFS per
+// query over the sealed slab, across the parallelism axis.
 func BenchmarkCountAll(b *testing.B) {
 	env := quickEnv(b)
 	tree, err := Build(env.Data.Points, env.Data.Domain, Options{
@@ -354,26 +351,17 @@ func BenchmarkCountAll(b *testing.B) {
 	for len(batch) < 960 {
 		batch = append(batch, qs.Rects...)
 	}
-	engines := []struct {
-		name string
-		run  func([]Rect, int) []float64
-	}{
-		{"arena", tree.inner.CountAllWorkers},
-		{"slab", slab.inner.CountAllWorkers},
-	}
-	for _, eng := range engines {
-		for _, par := range BenchParallelisms() {
-			b.Run(fmt.Sprintf("%s/batch960/par=%d", eng.name, par), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				var out []float64
-				for i := 0; i < b.N; i++ {
-					out = eng.run(batch, par)
-				}
-				_ = out
-				b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-			})
-		}
+	for _, par := range BenchParallelisms() {
+		b.Run(fmt.Sprintf("slab/batch960/par=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			var out []float64
+			for i := 0; i < b.N; i++ {
+				out = slab.inner.CountAllWorkers(batch, par)
+			}
+			_ = out
+			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+		})
 	}
 }
 
@@ -431,8 +419,8 @@ func BenchmarkCountBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures single range-query latency on both read engines,
-// for a small (1%×1%) and a large (most-of-the-domain) rectangle. Allocs
+// BenchmarkQuery measures single range-query latency on the slab, for a
+// small (1%×1%) and a large (most-of-the-domain) rectangle. Allocs
 // are reported because the acceptance bar is zero: single queries must not
 // allocate (the DFS stacks are pooled).
 func BenchmarkQuery(b *testing.B) {
@@ -461,13 +449,6 @@ func BenchmarkQuery(b *testing.B) {
 		{"large", []Rect{large}},
 	}
 	for _, sh := range shapes {
-		b.Run("arena/"+sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tree.Count(sh.rects[i%len(sh.rects)])
-			}
-		})
 		b.Run("slab/"+sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -479,12 +460,13 @@ func BenchmarkQuery(b *testing.B) {
 }
 
 // BenchmarkOpenRelease measures artifact open latency into the serving form
-// (OpenSlab) for the committed golden quadtree release in both encodings —
+// (OpenSlab) for the committed golden quadtree release in every encoding —
 // the hot-reload path of cmd/psdserve.
 func BenchmarkOpenRelease(b *testing.B) {
 	for _, enc := range []struct{ name, file string }{
 		{"json", "release_quadtree.json"},
 		{"binary", "release_quadtree.bin"},
+		{"binary-v3", "release_quadtree.v3.bin"},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", enc.file))
 		if err != nil {

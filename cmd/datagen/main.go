@@ -19,9 +19,9 @@
 //	gauss    5 Gaussian clusters over the unit square
 //
 // -release writes the artifact crash-safely (temp file + atomic rename) in
-// the format the extension selects: ".bin" is binary — the mmap-ready
-// record-major v3 by default, v2 with -v3=false — anything else JSON. An
-// h=12 release is ~22.4M nodes, ~900MB as v3; psdserve opens it zero-copy.
+// the format the extension selects: ".bin" is the mmap-ready record-major
+// binary format v3, anything else JSON. An h=12 release is ~22.4M nodes,
+// ~900MB as v3; psdserve opens it zero-copy.
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 		"decomposition kind for -release: quadtree, kd, kd-hybrid, hilbert-r, kd-cell, kd-noisymean, privtree")
 	height := flag.Int("height", 10, "tree height for -release (12 yields a multi-hundred-MB artifact)")
 	eps := flag.Float64("eps", 0.5, "privacy budget for -release")
-	v3 := flag.Bool("v3", true, "write .bin -release artifacts in the mmap-ready binary v3 format (false = v2)")
 	flag.Parse()
 
 	var ds workload.Dataset
@@ -66,7 +65,7 @@ func main() {
 	}
 
 	if *release != "" {
-		if err := emitRelease(ds, *release, *relKind, *height, *eps, *seed, *v3); err != nil {
+		if err := emitRelease(ds, *release, *relKind, *height, *eps, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "datagen:", err)
 			os.Exit(1)
 		}
@@ -90,7 +89,7 @@ func main() {
 // release artifact crash-safely at path. This is the scale-up path: the
 // points never touch disk, so an h=12 (22.4M-node) artifact costs one
 // build plus one sequential write.
-func emitRelease(ds workload.Dataset, path, kindName string, height int, eps float64, seed int64, v3 bool) error {
+func emitRelease(ds workload.Dataset, path, kindName string, height int, eps float64, seed int64) error {
 	kinds := map[string]psd.Kind{
 		"quadtree": psd.QuadtreeKind, "kd": psd.KDTree, "kd-hybrid": psd.KDHybrid,
 		"hilbert-r": psd.HilbertRTree, "kd-cell": psd.KDCellTree,
@@ -109,10 +108,7 @@ func emitRelease(ds workload.Dataset, path, kindName string, height int, eps flo
 	write := tree.WriteRelease
 	format := "json"
 	if strings.EqualFold(filepath.Ext(path), ".bin") {
-		write, format = tree.WriteBinaryRelease, "binary"
-		if v3 {
-			write, format = tree.WriteBinaryV3Release, "binary-v3"
-		}
+		write, format = tree.WriteBinaryV3Release, "binary-v3"
 	}
 	n, err := atomicfile.Write(path, func(w io.Writer) error { return write(w) })
 	if err != nil {

@@ -22,12 +22,11 @@
 //	        (-benchout, default BENCH_build.json) so the performance
 //	        trajectory is machine-readable across commits
 //	query-bench
-//	        query-side hot paths: single query and batch CountAll on the
-//	        arena vs the flat slab engine, the node-major batch engine vs
-//	        the per-query loop (batch 256/1024/4096), release open time
-//	        for the JSON vs binary encoding, and the allocation-free
-//	        serve.Count path, written as JSON (-queryout, default
-//	        BENCH_query.json)
+//	        query-side hot paths of the slab engine: single query and
+//	        batch CountAll, the node-major batch engine vs the per-query
+//	        loop (batch 256/1024/4096), release open time (JSON vs binary
+//	        decode, v3 mmap), and the allocation-free serve.Count path,
+//	        written as JSON (-queryout, default BENCH_query.json)
 //	serve-bench
 //	        HTTP serving load generator: queries/sec and cache hit rate
 //	        through the psdserve handler stack, written as JSON

@@ -20,14 +20,11 @@
 // right call for a real release) and can be overridden with -domain.
 //
 // -out and convert's -out choose the release encoding by file extension:
-// ".bin" writes the binary columnar format v2 (compact, and decoded by
-// psdserve straight into its serving columns), anything else writes the
-// versioned JSON format 1. Adding -v3 upgrades a ".bin" output to the
-// record-major binary format v3, which psdserve opens zero-copy via mmap —
-// the right encoding for large artifacts. convert reads any format (JSON,
-// v2, v3), sniffing the leading bytes, so every direction — including
-// v2 -> v3 and back — is the same command line; v2 read support is
-// permanent.
+// ".bin" writes the record-major binary format v3, which psdserve opens
+// zero-copy via mmap, and anything else writes the versioned JSON format 1.
+// convert reads any format (JSON, the read-only legacy v2, v3), sniffing
+// the leading bytes, so upgrading a v2 artifact is `convert -out x.bin`;
+// v2 read support is permanent.
 package main
 
 import (
@@ -94,8 +91,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "build seed")
 	domainSpec := flag.String("domain", "", "domain as x1,y1,x2,y2 (default: data bounding box)")
 	regions := flag.Bool("regions", false, "dump released regions as CSV")
-	out := flag.String("out", "", "write the release artifact to this file (.bin = binary v2, else JSON)")
-	v3 := flag.Bool("v3", false, "write .bin artifacts in the mmap-ready binary format v3 instead of v2")
+	out := flag.String("out", "", "write the release artifact to this file (.bin = binary v3, else JSON)")
 	var queries rectFlag
 	flag.Var(&queries, "query", "range query as x1,y1,x2,y2 (repeatable)")
 	flag.Parse()
@@ -148,11 +144,11 @@ func main() {
 		fmt.Printf("count %v = %.1f\n", q, tree.Count(q))
 	}
 	if *out != "" {
-		n, err := writeRelease(tree, *out, *v3)
+		n, err := writeRelease(tree, *out)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("# wrote %s release to %s (%d bytes)\n", formatName(*out, *v3), *out, n)
+		fmt.Printf("# wrote %s release to %s (%d bytes)\n", formatOf(*out), *out, n)
 	}
 	if *regions {
 		rects, counts := tree.Regions()
@@ -209,15 +205,6 @@ func formatOf(path string) string {
 	return "json"
 }
 
-// formatName is formatOf plus the binary version the -v3 flag selects.
-func formatName(path string, v3 bool) string {
-	f := formatOf(path)
-	if f == "binary" && v3 {
-		return "binary-v3"
-	}
-	return f
-}
-
 // writeArtifact publishes write's output at path crash-safely — temp file,
 // fsync, atomic rename — returning the byte count. A psdserve watch-dir
 // rescan (or any reader) racing the write sees either the previous complete
@@ -228,28 +215,24 @@ func writeArtifact(path string, write func(io.Writer) error) (int64, error) {
 
 // writeRelease serializes the tree's release to path in the
 // extension-selected format, returning the byte count.
-func writeRelease(tree *psd.Tree, path string, v3 bool) (int64, error) {
+func writeRelease(tree *psd.Tree, path string) (int64, error) {
 	if formatOf(path) == "binary" {
-		if v3 {
-			return writeArtifact(path, tree.WriteBinaryV3Release)
-		}
-		return writeArtifact(path, tree.WriteBinaryRelease)
+		return writeArtifact(path, tree.WriteBinaryV3Release)
 	}
 	return writeArtifact(path, tree.WriteRelease)
 }
 
 // runConvert implements `psdtool convert`: translate a release artifact
 // between the JSON and binary encodings. The input format is sniffed from
-// the leading bytes; the output format follows the -out extension. The two
-// encodings carry the same artifact, so converting is lossless: a release
+// the leading bytes; the output format follows the -out extension. Every
+// encoding carries the same artifact, so converting is lossless: a release
 // round-tripped either way re-serializes byte-identically.
 func runConvert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input release artifact, JSON or binary v2/v3 (required)")
-	out := fs.String("out", "", "output path; .bin writes binary v2 (v3 with -v3), anything else JSON (required)")
-	v3 := fs.Bool("v3", false, "write .bin output in the mmap-ready binary format v3 instead of v2")
+	out := fs.String("out", "", "output path; .bin writes binary v3, anything else JSON (required)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: psdtool convert -in release.json [-v3] -out release.bin")
+		fmt.Fprintln(os.Stderr, "usage: psdtool convert -in release.json -out release.bin")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -257,22 +240,22 @@ func runConvert(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	slab, n, err := convert(*in, *out, *v3)
+	slab, n, err := convert(*in, *out)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("# converted %s (%s h=%d eps=%g, %d regions) -> %s %s (%d bytes)\n",
 		*in, slab.Kind(), slab.Height(), slab.PrivacyCost(), slab.NumRegions(),
-		formatName(*out, *v3), *out, n)
+		formatOf(*out), *out, n)
 	slab.Close()
 }
 
 // convert opens the release at in (any format, sniffed; a v3 artifact is
 // mmap'd and fully verified rather than decoded) and writes it to out in
-// the selected format, returning the opened slab and the output size. The
-// three encodings carry the same artifact, so every conversion is lossless
-// and round trips re-serialize byte-identically.
-func convert(in, out string, v3 bool) (*psd.Slab, int64, error) {
+// the selected format, returning the opened slab and the output size. Every
+// encoding carries the same artifact, so every conversion is lossless and
+// round trips re-serialize byte-identically.
+func convert(in, out string) (*psd.Slab, int64, error) {
 	slab, err := psd.OpenSlabFile(in)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", in, err)
@@ -286,10 +269,7 @@ func convert(in, out string, v3 bool) (*psd.Slab, int64, error) {
 	}
 	write := slab.WriteRelease
 	if formatOf(out) == "binary" {
-		write = slab.WriteBinaryRelease
-		if v3 {
-			write = slab.WriteBinaryV3Release
-		}
+		write = slab.WriteBinaryV3Release
 	}
 	n, err := writeArtifact(out, write)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"psd"
@@ -76,14 +77,14 @@ func TestConvertRoundTrip(t *testing.T) {
 	binPath := filepath.Join(dir, "r.bin")
 	jsonPath := filepath.Join(dir, "r.json")
 
-	slab1, n, err := convert(src, binPath, false)
+	slab1, n, err := convert(src, binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatalf("convert wrote %d bytes", n)
 	}
-	slab2, _, err := convert(binPath, jsonPath, false)
+	slab2, _, err := convert(binPath, jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,41 +109,36 @@ func TestConvertRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, _, err := convert(filepath.Join(dir, "missing.json"), binPath, false); err == nil {
+	if _, _, err := convert(filepath.Join(dir, "missing.json"), binPath); err == nil {
 		t.Error("convert of a missing file should error")
 	}
 	junk := filepath.Join(dir, "junk.json")
 	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := convert(junk, binPath, false); err == nil {
+	if _, _, err := convert(junk, binPath); err == nil {
 		t.Error("convert of a junk artifact should error")
 	}
 }
 
 // TestConvertV3RoundTrip drives the converter through the mmap-ready v3
 // encoding: json -> v3 -> json must reproduce the input byte-identically
-// (the v3 leg is opened zero-copy by OpenSlabFile), and converting the
-// same artifact to v2 and v3 must yield slabs that answer identically.
+// (the v3 leg is opened zero-copy by OpenSlabFile), and both slabs must
+// answer identically.
 func TestConvertV3RoundTrip(t *testing.T) {
 	src := filepath.Join("..", "..", "testdata", "release_quadtree.json")
 	dir := t.TempDir()
 	v3Path := filepath.Join(dir, "r3.bin")
-	v2Path := filepath.Join(dir, "r2.bin")
 	jsonPath := filepath.Join(dir, "r.json")
 
-	slabV3, n, err := convert(src, v3Path, true)
+	slabV3, n, err := convert(src, v3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n%64 != 16 { // sections are 64-aligned; the 16-byte footer ends the file
 		t.Errorf("v3 artifact is %d bytes; want 64-aligned body + 16-byte footer", n)
 	}
-	slabV2, _, err := convert(src, v2Path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, _, err := convert(v3Path, jsonPath, false)
+	back, _, err := convert(v3Path, jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +158,6 @@ func TestConvertV3RoundTrip(t *testing.T) {
 		psd.NewRect(25, 25, 75, 75),
 		psd.NewRect(47, 47, 53, 53),
 	} {
-		if a, b := slabV2.Count(q), slabV3.Count(q); a != b {
-			t.Errorf("v2 and v3 slabs disagree on %v: %v vs %v", q, a, b)
-		}
 		if a, b := slabV3.Count(q), back.Count(q); a != b {
 			t.Errorf("v3 and round-tripped slabs disagree on %v: %v vs %v", q, a, b)
 		}
@@ -174,16 +167,56 @@ func TestConvertV3RoundTrip(t *testing.T) {
 	}
 }
 
+// TestConvertV2Goldens pins the upgrade path for legacy artifacts: convert
+// on every committed v2 golden (release_<kind>.bin) must write exactly the
+// committed v3 golden of the same release.
+func TestConvertV2Goldens(t *testing.T) {
+	srcs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "release_*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	converted := 0
+	for _, src := range srcs {
+		if strings.HasSuffix(src, ".v3.bin") {
+			continue
+		}
+		out := filepath.Join(dir, filepath.Base(src))
+		slab, _, err := convert(src, out)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		slab.Close()
+		want, err := os.ReadFile(strings.TrimSuffix(src, ".bin") + ".v3.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: converted v3 differs from the committed v3 golden", filepath.Base(src))
+		}
+		converted++
+	}
+	if converted != 7 {
+		t.Errorf("converted %d v2 goldens, want one per kind (7)", converted)
+	}
+}
+
 // TestConvertPrivTreeGolden runs the converter over the adaptive-kind
-// golden fixture: the committed JSON and binary artifacts must be exact
-// conversions of each other, and the reopened slab keeps the partial
-// publication (pruned adaptive leaves reported as regions).
+// golden fixture: the committed JSON and v3 artifacts must be exact
+// conversions of each other, the legacy v2 artifact must convert back to
+// the same JSON, and the reopened slab keeps the partial publication
+// (pruned adaptive leaves reported as regions).
 func TestConvertPrivTreeGolden(t *testing.T) {
 	srcJSON := filepath.Join("..", "..", "testdata", "release_privtree.json")
-	srcBin := filepath.Join("..", "..", "testdata", "release_privtree.bin")
+	srcV2 := filepath.Join("..", "..", "testdata", "release_privtree.bin")
+	srcBin := filepath.Join("..", "..", "testdata", "release_privtree.v3.bin")
 	dir := t.TempDir()
 
-	slab, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"), false)
+	slab, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +234,7 @@ func TestConvertPrivTreeGolden(t *testing.T) {
 	if string(got) != string(want) {
 		t.Error("converted binary differs from the committed privtree fixture")
 	}
-	back, _, err := convert(srcBin, filepath.Join(dir, "p.json"), false)
+	back, _, err := convert(srcV2, filepath.Join(dir, "p.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +294,7 @@ func TestBuildPrivTreeFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "roads.bin")
-	if _, err := writeRelease(tree, out, false); err != nil {
+	if _, err := writeRelease(tree, out); err != nil {
 		t.Fatal(err)
 	}
 	g, err := os.Open(out)
@@ -279,8 +312,8 @@ func TestBuildPrivTreeFromCSV(t *testing.T) {
 	}
 }
 
-// TestWriteRelease pins the -out flag's writer: both encodings open again
-// and answer like the built tree.
+// TestWriteRelease pins the -out flag's writer: both encodings (JSON and
+// binary v3) open again and answer like the built tree.
 func TestWriteRelease(t *testing.T) {
 	dom := psd.NewRect(0, 0, 10, 10)
 	pts := []psd.Point{{X: 1, Y: 1}, {X: 2, Y: 7}, {X: 8, Y: 3}, {X: 9, Y: 9}}
@@ -291,7 +324,7 @@ func TestWriteRelease(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"r.json", "r.bin"} {
 		path := filepath.Join(dir, name)
-		n, err := writeRelease(tree, path, false)
+		n, err := writeRelease(tree, path)
 		if err != nil {
 			t.Fatal(err)
 		}

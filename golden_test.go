@@ -13,11 +13,14 @@ import (
 // checked byte-for-byte. They pin the on-disk artifact format — a release
 // written by an old commit must keep opening (and answering) identically —
 // and give cmd/psdserve and CI a stable artifact to serve end-to-end.
-// Regenerate with:
+// Regenerate the written formats (JSON and v3) with:
 //
-//	go test . -run TestGoldenReleases -update
+//	go test . -run TestGolden -update
+//
+// The v2 fixtures (release_<kind>.bin) are never rewritten: v2 is read-only,
+// and those committed bytes are what keeps its reader honest.
 
-var updateGolden = flag.Bool("update", false, "rewrite golden release fixtures under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the JSON and v3 golden release fixtures under testdata/")
 
 // goldenKinds lists every decomposition family with its fixture file name.
 var goldenKinds = []struct {
@@ -94,7 +97,7 @@ func TestGoldenReleases(t *testing.T) {
 
 			// The reopened fixture answers the fixed query set exactly as the
 			// builder's tree does, and re-serializes byte-identically.
-			reopened, err := OpenRelease(bytes.NewReader(golden))
+			reopened, err := OpenSlab(bytes.NewReader(golden))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,90 +117,76 @@ func TestGoldenReleases(t *testing.T) {
 	}
 }
 
-// TestGoldenBinaryReleases pins the binary format v2 on-disk artifacts the
-// same way: one release_<kind>.bin per family, checked byte-for-byte, and
-// required to answer the fixed query set bit-identically to both the
-// builder's tree and the JSON fixture opened as a slab. Regenerate with
-// -update alongside the JSON fixtures.
+// TestGoldenBinaryReleases keeps the read-only format v2 honest: every
+// committed release_<kind>.bin must decode and answer the golden_queries.json
+// rectangles bit-identically — values and CountBatchInto statistics — to the
+// JSON and v3 fixtures and to the builder's tree, list the same Regions, and
+// convert losslessly to both written formats.
 func TestGoldenBinaryReleases(t *testing.T) {
+	qs := goldenQueryRects(t)
 	for _, g := range goldenKinds {
 		t.Run(g.name, func(t *testing.T) {
-			tree := goldenBuild(t, g.kind)
-			var buf bytes.Buffer
-			if err := tree.WriteBinaryRelease(&buf); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "release_"+g.name+".bin")
-			if *updateGolden {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			open := func(suffix string) (*Slab, []byte) {
+				t.Helper()
+				data, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+suffix))
+				if err != nil {
 					t.Fatal(err)
 				}
+				s, err := OpenSlab(bytes.NewReader(data))
+				if err != nil {
+					t.Fatalf("%s: %v", suffix, err)
+				}
+				return s, data
 			}
-			golden, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture (run with -update): %v", err)
+			v2, _ := open(".bin")
+			jsonSlab, jsonBytes := open(".json")
+			v3, v3Bytes := open(".v3.bin")
+			tree := goldenBuild(t, g.kind)
+
+			want := make([]float64, len(qs))
+			wantSt := jsonSlab.CountBatchInto(want, qs)
+			for name, s := range map[string]*Slab{"v2": v2, "v3": v3} {
+				got := make([]float64, len(qs))
+				if st := s.CountBatchInto(got, qs); st != wantSt {
+					t.Errorf("%s: batch stats %+v, JSON fixture %+v", name, st, wantSt)
+				}
+				for i, q := range qs {
+					if got[i] != want[i] || s.Count(q) != want[i] {
+						t.Errorf("%s: query %v = %v / %v, JSON fixture %v", name, q, got[i], s.Count(q), want[i])
+					}
+				}
 			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("binary release differs from %s (%d vs %d bytes); "+
-					"if the format change is intentional, regenerate with -update",
-					path, buf.Len(), len(golden))
+			for i, q := range qs {
+				if got := tree.Count(q); got != want[i] {
+					t.Errorf("query %v: built %v, JSON fixture %v", q, got, want[i])
+				}
+			}
+			gotR, gotC := v2.Regions()
+			for name, s := range map[string]*Slab{"json": jsonSlab, "v3": v3} {
+				wantR, wantC := s.Regions()
+				if len(gotR) != len(wantR) {
+					t.Fatalf("v2 has %d regions, %s fixture %d", len(gotR), name, len(wantR))
+				}
+				for i := range gotR {
+					if gotR[i] != wantR[i] || gotC[i] != wantC[i] {
+						t.Fatalf("v2 region %d differs from the %s fixture's", i, name)
+					}
+				}
 			}
 
-			// The binary fixture opens as a slab and answers exactly as the
-			// builder's tree; the JSON fixture opened as a slab must agree
-			// bit-for-bit, pinning JSON↔binary equivalence.
-			binSlab, err := OpenSlab(bytes.NewReader(golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonBytes, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonSlab, err := OpenSlab(bytes.NewReader(jsonBytes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealed := tree.Seal()
-			for _, q := range goldenQueries() {
-				want := tree.Count(q)
-				if got := binSlab.Count(q); got != want {
-					t.Errorf("query %v: binary slab %v, built %v", q, got, want)
-				}
-				if got := jsonSlab.Count(q); got != want {
-					t.Errorf("query %v: json slab %v, built %v", q, got, want)
-				}
-				if got := sealed.Count(q); got != want {
-					t.Errorf("query %v: sealed slab %v, built %v", q, got, want)
-				}
-			}
-
-			// Both directions of conversion are lossless: binary -> JSON
-			// matches the JSON fixture, JSON -> binary matches the binary one.
-			var toJSON bytes.Buffer
-			if err := binSlab.WriteRelease(&toJSON); err != nil {
+			// v2 converts to both written formats byte-identically.
+			var toJSON, toV3 bytes.Buffer
+			if err := v2.WriteRelease(&toJSON); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(toJSON.Bytes(), jsonBytes) {
-				t.Error("binary fixture does not convert to the JSON fixture byte-identically")
+				t.Error("v2 fixture does not convert to the JSON fixture byte-identically")
 			}
-			var toBin bytes.Buffer
-			if err := jsonSlab.WriteBinaryRelease(&toBin); err != nil {
+			if err := v2.WriteBinaryV3Release(&toV3); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(toBin.Bytes(), golden) {
-				t.Error("JSON fixture does not convert to the binary fixture byte-identically")
-			}
-
-			// OpenRelease (the arena path) accepts the binary artifact too.
-			reopened, err := OpenRelease(bytes.NewReader(golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range goldenQueries() {
-				if got, want := reopened.Count(q), tree.Count(q); got != want {
-					t.Errorf("query %v: arena-opened binary %v, built %v", q, got, want)
-				}
+			if !bytes.Equal(toV3.Bytes(), v3Bytes) {
+				t.Error("v2 fixture does not convert to the v3 fixture byte-identically")
 			}
 		})
 	}
@@ -207,7 +196,7 @@ func TestGoldenBinaryReleases(t *testing.T) {
 // one release_<kind>.v3.bin per family, checked byte-for-byte, required to
 // answer the fixed query set bit-identically through both read paths — the
 // streaming decoder and the zero-copy mmap open — and to convert losslessly
-// to and from the v2 fixture. Regenerate with -update alongside the others.
+// from the JSON fixture. Regenerate with -update alongside the JSON ones.
 func TestGoldenV3Releases(t *testing.T) {
 	for _, g := range goldenKinds {
 		t.Run(g.name, func(t *testing.T) {
@@ -256,28 +245,21 @@ func TestGoldenV3Releases(t *testing.T) {
 				}
 			}
 
-			// Conversion is lossless in both directions against the v2 fixture.
-			v2golden, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".bin"))
+			// The JSON fixture converts to this one byte-identically.
+			jsonBytes, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var toV2 bytes.Buffer
-			if err := decoded.WriteBinaryRelease(&toV2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(toV2.Bytes(), v2golden) {
-				t.Error("v3 fixture does not convert to the v2 fixture byte-identically")
-			}
-			v2slab, err := OpenSlab(bytes.NewReader(v2golden))
+			jsonSlab, err := OpenSlab(bytes.NewReader(jsonBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var toV3 bytes.Buffer
-			if err := v2slab.WriteBinaryV3Release(&toV3); err != nil {
+			if err := jsonSlab.WriteBinaryV3Release(&toV3); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(toV3.Bytes(), golden) {
-				t.Error("v2 fixture does not convert to the v3 fixture byte-identically")
+				t.Error("JSON fixture does not convert to the v3 fixture byte-identically")
 			}
 		})
 	}
@@ -292,6 +274,24 @@ type goldenQueryFile struct {
 		Rect  [4]float64 `json:"rect"`
 		Count float64    `json:"count"`
 	} `json:"queries"`
+}
+
+// goldenQueryRects reads the query rectangles of testdata/golden_queries.json.
+func goldenQueryRects(t *testing.T) []Rect {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_queries.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in goldenQueryFile
+	if err := json.Unmarshal(data, &in); err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]Rect, len(in.Queries))
+	for i, q := range in.Queries {
+		qs[i] = NewRect(q.Rect[0], q.Rect[1], q.Rect[2], q.Rect[3])
+	}
+	return qs
 }
 
 func TestGoldenQueryAnswers(t *testing.T) {

@@ -73,9 +73,9 @@ func TestCountBatchMatchesPerQuery(t *testing.T) {
 		qs := batchTestQueries(dom, 300, int64(cfg.Seed))
 		wantV, wantSt := sumStats(s, qs)
 
-		// Arena per-query answers agree too (slab is pinned to arena, but
-		// assert the whole chain here for the batch path).
-		arenaV, arenaSt := sumStats(p, qs)
+		// The arena reference agrees too (slab is pinned to it, but assert
+		// the whole chain here for the batch path).
+		arenaV, arenaSt := sumStats(arenaRef{p}, qs)
 		for i := range wantV {
 			if arenaV[i] != wantV[i] {
 				t.Fatalf("%v: arena Query[%d] = %v, slab %v", cfg.Kind, i, arenaV[i], wantV[i])
@@ -100,18 +100,18 @@ func TestCountBatchMatchesPerQuery(t *testing.T) {
 			}
 		}
 
-		// The allocating wrappers and the PSD-side lazy-seal path agree.
+		// The allocating wrapper and the PSD's lazily sealed slab agree.
 		for i, v := range s.CountBatch(qs) {
 			if v != wantV[i] {
 				t.Fatalf("%v: Slab.CountBatch[%d] = %v, want %v", cfg.Kind, i, v, wantV[i])
 			}
 		}
-		for i, v := range p.CountBatch(qs) {
+		for i, v := range p.Sealed().CountBatch(qs) {
 			if v != wantV[i] {
-				t.Fatalf("%v: PSD.CountBatch[%d] = %v, want %v", cfg.Kind, i, v, wantV[i])
+				t.Fatalf("%v: PSD.Sealed().CountBatch[%d] = %v, want %v", cfg.Kind, i, v, wantV[i])
 			}
 		}
-		if pst := p.CountBatchInto(make([]float64, len(qs)), qs, 2); pst != wantSt {
+		if pst := p.Sealed().CountBatchInto(make([]float64, len(qs)), qs, 2); pst != wantSt {
 			t.Fatalf("%v: PSD batch stats %+v, want %+v", cfg.Kind, pst, wantSt)
 		}
 	}
@@ -257,7 +257,7 @@ func TestCountBatchAllocs(t *testing.T) {
 }
 
 // TestPSDSealedCached pins that the lazy seal materializes once and that
-// PSD.CountBatch agrees with the arena per-query path on a fresh tree.
+// its batch answers agree with the arena reference on a fresh tree.
 func TestPSDSealedCached(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(1024, dom, 81)
@@ -269,10 +269,10 @@ func TestPSDSealedCached(t *testing.T) {
 		t.Fatal("Sealed() did not cache the slab")
 	}
 	qs := slabTestQueries(dom)
-	got := p.CountBatch(qs)
+	got := p.Sealed().CountBatch(qs)
 	for i, q := range qs {
-		if want := p.Query(q); got[i] != want {
-			t.Fatalf("PSD.CountBatch[%d] = %v, arena %v", i, got[i], want)
+		if want := (arenaRef{p}).Query(q); got[i] != want {
+			t.Fatalf("PSD.Sealed().CountBatch[%d] = %v, arena %v", i, got[i], want)
 		}
 	}
 }

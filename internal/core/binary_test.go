@@ -10,23 +10,51 @@ import (
 	"psd/internal/geom"
 )
 
-// binaryBytes serializes a built PSD's release in format v2.
-func binaryBytes(t *testing.T, p *PSD) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	n, err := p.Release().WriteBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
+// encodeV2 is a test-only encoder of the format-v2 layout documented in
+// binary.go: header, five scalar columns (unpublished count slots zero),
+// the published bitset, and the delta-uvarint pruned list. The product
+// writes only v3; these tests still need v2 artifacts of shapes the
+// committed goldens do not cover (pruned trailers, leaf-only publication,
+// hostile edits at computed offsets) to pin the v2 reader.
+func encodeV2(s *Slab) []byte {
+	le := binary.LittleEndian
+	n := s.Len()
+	pruned := s.prunedIndices()
+	out := make([]byte, binaryHeaderSize)
+	copy(out, binaryMagic[:])
+	out[4] = binaryVersion
+	out[5] = byte(s.kind)
+	out[6] = 4
+	out[7] = byte(s.height)
+	le.PutUint64(out[8:], math.Float64bits(s.epsilon))
+	for i, v := range flattenRect(s.domain) {
+		le.PutUint64(out[16+8*i:], math.Float64bits(v))
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteBinary reported %d bytes, wrote %d", n, buf.Len())
+	le.PutUint32(out[48:], uint32(n))
+	le.PutUint32(out[52:], uint32(len(pruned)))
+	for col := 0; col < 5; col++ {
+		for i := 0; i < n; i++ {
+			v := s.nodes[i][col]
+			if col == 4 && !s.usable.get(i) {
+				v = 0
+			}
+			out = le.AppendUint64(out, math.Float64bits(v))
+		}
 	}
-	return buf.Bytes()
+	for _, w := range s.usable {
+		out = le.AppendUint64(out, w)
+	}
+	prev := 0
+	for _, idx := range pruned {
+		out = binary.AppendUvarint(out, uint64(idx-prev))
+		prev = idx
+	}
+	return out
 }
 
-// TestBinaryRoundTrip pins the canonical-encoding property for every
-// family: decode(encode(release)) re-encodes byte-identically, and the
-// decoded slab answers exactly as the source tree.
+// TestBinaryRoundTrip pins the canonical-decoding property for every
+// family: decode(v2) re-encodes byte-identically, and the decoded slab
+// answers exactly as the source tree.
 func TestBinaryRoundTrip(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 61)
@@ -35,21 +63,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := binaryBytes(t, p)
+		raw := encodeV2(p.Sealed())
 		slab, err := ReadBinary(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%v: ReadBinary: %v", cfg.Kind, err)
 		}
-		var again bytes.Buffer
-		if _, err := slab.WriteBinary(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, again.Bytes()) {
+		if again := encodeV2(slab); !bytes.Equal(raw, again) {
 			t.Errorf("%v: binary round trip differs (%d vs %d bytes)",
-				cfg.Kind, len(raw), again.Len())
+				cfg.Kind, len(raw), len(again))
 		}
 		for _, q := range slabTestQueries(dom) {
-			if got, want := slab.Query(q), p.Query(q); got != want {
+			if got, want := slab.Query(q), p.Sealed().Query(q); got != want {
 				t.Errorf("%v: binary slab Query(%v) = %v, want %v", cfg.Kind, q, got, want)
 			}
 		}
@@ -81,7 +105,7 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	if _, err := p.Release().WriteTo(&js); err != nil {
 		t.Fatal(err)
 	}
-	bin := binaryBytes(t, p)
+	bin := encodeV2(p.Sealed())
 	if len(bin) >= js.Len() {
 		t.Errorf("binary release is %d bytes, JSON %d — expected smaller", len(bin), js.Len())
 	}
@@ -111,7 +135,7 @@ func TestReadBinaryRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := binaryBytes(t, p)
+	raw := encodeV2(p.Sealed())
 	nodes := 85 // (4^4-1)/3 for height 3
 
 	cases := map[string][]byte{
@@ -167,7 +191,7 @@ func TestReadBinaryZeroesUnpublishedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := binaryBytes(t, p)
+	raw := encodeV2(p.Sealed())
 	// Node 0 (the root) is unpublished under leaf-only budgets; poison its
 	// count slot.
 	poisoned := putF64(raw, binaryHeaderSize+4*8*21, 12345.0)
@@ -175,15 +199,11 @@ func TestReadBinaryZeroesUnpublishedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if _, err := slab.WriteBinary(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, again.Bytes()) {
+	if !bytes.Equal(raw, encodeV2(slab)) {
 		t.Error("decoder did not canonicalize a poisoned unpublished count slot")
 	}
 	for _, q := range slabTestQueries(dom) {
-		if got, want := slab.Query(q), p.Query(q); got != want {
+		if got, want := slab.Query(q), p.Sealed().Query(q); got != want {
 			t.Errorf("poisoned slab Query(%v) = %v, want %v", q, got, want)
 		}
 	}
@@ -252,7 +272,7 @@ func TestReadBinaryTruncatedSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := binaryBytes(t, p)
+	raw := encodeV2(p.Sealed())
 	const nodes = 85 // (4^4-1)/3 for height 3
 	colBytes := 8 * nodes
 	bitsetOff := binaryHeaderSize + 5*colBytes

@@ -69,18 +69,13 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 			t.Errorf("%v: v3 round trip differs (%d vs %d bytes)", cfg.Kind, len(raw), again.Len())
 		}
 		for _, q := range slabTestQueries(dom) {
-			if got, want := slab.Query(q), p.Query(q); got != want {
+			if got, want := slab.Query(q), p.Sealed().Query(q); got != want {
 				t.Errorf("%v: v3 slab Query(%v) = %v, want %v", cfg.Kind, q, got, want)
 			}
 		}
-		// The v2 and v3 encodings carry the same artifact: converting the
-		// v3-decoded slab to v2 matches the direct v2 serialization.
-		direct := binaryBytes(t, p)
-		var viaV3 bytes.Buffer
-		if _, err := slab.WriteBinary(&viaV3); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(direct, viaV3.Bytes()) {
+		// The v2 and v3 encodings carry the same artifact: the v3-decoded
+		// slab re-encodes as v2 exactly like the source tree.
+		if !bytes.Equal(encodeV2(p.Sealed()), encodeV2(slab)) {
 			t.Errorf("%v: v3->v2 conversion differs from direct v2 encoding", cfg.Kind)
 		}
 	}
@@ -96,7 +91,7 @@ func TestReadBinaryRejectsTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, raw := range map[string][]byte{"v2": binaryBytes(t, p), "v3": v3Bytes(t, p)} {
+	for name, raw := range map[string][]byte{"v2": encodeV2(p.Sealed()), "v3": v3Bytes(t, p)} {
 		if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
 			t.Fatalf("%s: clean artifact must decode: %v", name, err)
 		}
@@ -149,10 +144,9 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteBinaryCountsDestinationBytes pins the satellite bugfix: the n the
-// binary encoders return is exactly the bytes the destination accepted —
-// never inflated by bytes parked in an intermediate buffer — for both
-// formats, across fault offsets landing inside every section and on chunk
-// boundaries.
+// binary encoder returns is exactly the bytes the destination accepted —
+// never inflated by bytes parked in an intermediate buffer — across fault
+// offsets landing inside every section and on chunk boundaries.
 func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(4096, dom, 83)
@@ -162,53 +156,47 @@ func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab := p.Sealed()
-	encoders := map[string]func(io.Writer) (int64, error){
-		"v2": slab.WriteBinary,
-		"v3": slab.WriteBinaryV3,
+	encode := p.Sealed().WriteBinaryV3
+	var ref bytes.Buffer
+	n, err := encode(&ref)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, encode := range encoders {
-		var ref bytes.Buffer
-		n, err := encode(&ref)
-		if err != nil {
-			t.Fatal(err)
+	total := ref.Len()
+	if n != int64(total) {
+		t.Fatalf("clean encode reported %d bytes, wrote %d", n, total)
+	}
+	limits := []int{
+		0, 1, 55, 56, 1000,
+		artifactChunk - 1, artifactChunk, artifactChunk + 1,
+		2 * artifactChunk, 3*artifactChunk + 7,
+		total / 2, total - 1,
+	}
+	for _, limit := range limits {
+		fw := &failAfterWriter{limit: limit}
+		n, err := encode(fw)
+		if err == nil {
+			t.Fatalf("limit %d of %d: encoder reported success against a failing destination", limit, total)
 		}
-		total := ref.Len()
-		if n != int64(total) {
-			t.Fatalf("%s: clean encode reported %d bytes, wrote %d", name, n, total)
+		if !errors.Is(err, errInjected) {
+			t.Errorf("limit %d: error %v does not wrap the destination failure", limit, err)
 		}
-		limits := []int{
-			0, 1, 55, 56, 1000,
-			artifactChunk - 1, artifactChunk, artifactChunk + 1,
-			2 * artifactChunk, 3*artifactChunk + 7,
-			total / 2, total - 1,
+		if n != int64(fw.n) {
+			t.Errorf("limit %d: encoder reported %d bytes, destination accepted %d", limit, n, fw.n)
 		}
-		for _, limit := range limits {
-			fw := &failAfterWriter{limit: limit}
-			n, err := encode(fw)
-			if err == nil {
-				t.Fatalf("%s: limit %d of %d: encoder reported success against a failing destination", name, limit, total)
-			}
-			if !errors.Is(err, errInjected) {
-				t.Errorf("%s: limit %d: error %v does not wrap the destination failure", name, limit, err)
-			}
-			if n != int64(fw.n) {
-				t.Errorf("%s: limit %d: encoder reported %d bytes, destination accepted %d", name, limit, n, fw.n)
-			}
-			if fw.n > limit {
-				t.Errorf("%s: limit %d: destination accepted %d bytes past its limit?", name, limit, fw.n)
-			}
+		if fw.n > limit {
+			t.Errorf("limit %d: destination accepted %d bytes past its limit?", limit, fw.n)
 		}
-		// A destination that under-accepts without erroring must surface as
-		// io.ErrShortWrite with the true delivered count, not spin or succeed.
-		sw := &shortWriter{}
-		n, err = encode(sw)
-		if !errors.Is(err, io.ErrShortWrite) {
-			t.Errorf("%s: short-writing destination: got error %v, want io.ErrShortWrite", name, err)
-		}
-		if n != int64(sw.n) {
-			t.Errorf("%s: short write: encoder reported %d bytes, destination accepted %d", name, n, sw.n)
-		}
+	}
+	// A destination that under-accepts without erroring must surface as
+	// io.ErrShortWrite with the true delivered count, not spin or succeed.
+	sw := &shortWriter{}
+	n, err = encode(sw)
+	if !errors.Is(err, io.ErrShortWrite) {
+		t.Errorf("short-writing destination: got error %v, want io.ErrShortWrite", err)
+	}
+	if n != int64(sw.n) {
+		t.Errorf("short write: encoder reported %d bytes, destination accepted %d", n, sw.n)
 	}
 }
 
@@ -246,8 +234,8 @@ func TestPrunedIndicesAllocs(t *testing.T) {
 }
 
 // BenchmarkPrunedIndices guards the popcount-presized bit iteration on a
-// deep, mostly-pruned adaptive slab — the shape the encoder hits on every
-// v2 write of a PrivTree release.
+// deep, mostly-pruned adaptive slab — the shape Slab.Release hits on every
+// JSON write of a PrivTree release.
 func BenchmarkPrunedIndices(b *testing.B) {
 	s := prunedSlab(b, 8)
 	idx := s.prunedIndices()
@@ -273,7 +261,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		slabs := map[string]*Slab{}
-		v2, err := ReadBinary(bytes.NewReader(binaryBytes(t, p)))
+		v2, err := ReadBinary(bytes.NewReader(encodeV2(p.Sealed())))
 		if err != nil {
 			t.Fatalf("%v: v2 decode: %v", cfg.Kind, err)
 		}
@@ -371,7 +359,7 @@ func TestSlabClose(t *testing.T) {
 	for name, openSlab := range open {
 		t.Run(name, func(t *testing.T) {
 			s := openSlab(t)
-			want := p.Query(q)
+			want := p.Sealed().Query(q)
 			if got := s.Query(q); got != want {
 				t.Fatalf("pre-Close Query = %v, want %v", got, want)
 			}
@@ -387,7 +375,6 @@ func TestSlabClose(t *testing.T) {
 				"CountBatchInto": func() { s.CountBatchInto(make([]float64, 1), []geom.Rect{q}, 1) },
 				"LeafRegions":    func() { s.LeafRegions() },
 				"Verify":         func() { s.Verify() },
-				"WriteBinary":    func() { s.WriteBinary(io.Discard) },
 				"WriteBinaryV3":  func() { s.WriteBinaryV3(io.Discard) },
 			}
 			for use, call := range uses {

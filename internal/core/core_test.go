@@ -95,7 +95,7 @@ func TestQuadtreeExactWithZeroNoise(t *testing.T) {
 		geom.NewRect(15, 15, 16, 16),
 	} {
 		want := float64(geom.CountIn(pts, q))
-		if got := p.Query(q); math.Abs(got-want) > 1e-9 {
+		if got := p.Sealed().Query(q); math.Abs(got-want) > 1e-9 {
 			t.Errorf("query %v = %v, want %v", q, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestQuadtreeExactWithZeroNoise(t *testing.T) {
 	// uniformity assumption.
 	q := geom.NewRect(0.5, 0.5, 10.5, 3.25)
 	want := p.TrueAnswer(q)
-	if got := p.Query(q); math.Abs(got-want) > 1e-9 {
+	if got := p.Sealed().Query(q); math.Abs(got-want) > 1e-9 {
 		t.Errorf("unaligned query = %v, want %v", got, want)
 	}
 }
@@ -119,7 +119,7 @@ func TestCanonicalDecompositionNodeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Left half = SW + NW quadrants: 2 node adds.
-	ans, st := p.QueryWithStats(geom.NewRect(0, 0, 2, 4))
+	ans, st := p.Sealed().QueryWithStats(geom.NewRect(0, 0, 2, 4))
 	if st.NodesAdded != 2 {
 		t.Errorf("left half: NodesAdded = %d, want 2", st.NodesAdded)
 	}
@@ -127,7 +127,7 @@ func TestCanonicalDecompositionNodeCounts(t *testing.T) {
 		t.Errorf("left half = %v, want 8", ans)
 	}
 	// [0,3)x[0,4): 2 quadrants + 4 unit leaves.
-	ans, st = p.QueryWithStats(geom.NewRect(0, 0, 3, 4))
+	ans, st = p.Sealed().QueryWithStats(geom.NewRect(0, 0, 3, 4))
 	if st.NodesAdded != 6 {
 		t.Errorf("three-quarters: NodesAdded = %d, want 6", st.NodesAdded)
 	}
@@ -138,7 +138,7 @@ func TestCanonicalDecompositionNodeCounts(t *testing.T) {
 		t.Errorf("aligned query used %d partial leaves", st.PartialLeaves)
 	}
 	// An unaligned query uses the uniformity assumption on its boundary.
-	_, st = p.QueryWithStats(geom.NewRect(0.5, 0.5, 3.5, 3.5))
+	_, st = p.Sealed().QueryWithStats(geom.NewRect(0.5, 0.5, 3.5, 3.5))
 	if st.PartialLeaves == 0 {
 		t.Error("unaligned query should touch partial leaves")
 	}
@@ -259,7 +259,7 @@ func TestKDPrivateBuild(t *testing.T) {
 		t.Errorf("MedianCalls = %d, want %d", p.Stats().MedianCalls, 3*internal)
 	}
 	// The full-domain query returns roughly the total count.
-	got := p.Query(dom)
+	got := p.Sealed().Query(dom)
 	if math.Abs(got-8192) > 2000 {
 		t.Errorf("full-domain query = %v, want ≈ 8192", got)
 	}
@@ -340,7 +340,7 @@ func TestHilbertRStructure(t *testing.T) {
 		}
 	}
 	// Full-domain query sees everything exactly (root bbox ⊆ query).
-	if got := p.Query(geom.NewRect(-1, -1, 33, 33)); math.Abs(got-2048) > 1e-6 {
+	if got := p.Sealed().Query(geom.NewRect(-1, -1, 33, 33)); math.Abs(got-2048) > 1e-6 {
 		t.Errorf("full query = %v, want 2048", got)
 	}
 }
@@ -366,7 +366,7 @@ func TestKDCellBuild(t *testing.T) {
 	if math.Abs(p.StructureCost()-0.3) > 1e-9 {
 		t.Errorf("StructureCost = %v, want 0.3", p.StructureCost())
 	}
-	got := p.Query(geom.NewRect(0, 0, 50, 100))
+	got := p.Sealed().Query(geom.NewRect(0, 0, 50, 100))
 	want := p.TrueAnswer(geom.NewRect(0, 0, 50, 100))
 	if math.Abs(got-want) > float64(len(pts))/4 {
 		t.Errorf("half-domain query = %v, want ≈ %v", got, want)
@@ -434,12 +434,12 @@ func TestPruning(t *testing.T) {
 		t.Fatal("nothing pruned at an enormous threshold")
 	}
 	// The root itself is pruned: queries answer from the root alone.
-	_, st := p.QueryWithStats(geom.NewRect(0, 0, 8, 16))
+	_, st := p.Sealed().QueryWithStats(geom.NewRect(0, 0, 8, 16))
 	if st.NodesAdded != 1 {
 		t.Errorf("NodesAdded = %d, want 1 (root only)", st.NodesAdded)
 	}
 	// LeafRegions collapses to the single pruned root.
-	rects, counts := p.LeafRegions()
+	rects, counts := p.Sealed().LeafRegions()
 	if len(rects) != 1 || len(counts) != 1 {
 		t.Errorf("LeafRegions = %d regions, want 1", len(rects))
 	}
@@ -454,7 +454,7 @@ func TestPruning(t *testing.T) {
 	if p2.Stats().PrunedSubtrees != 0 {
 		t.Error("threshold 0 should disable pruning")
 	}
-	rects, _ = p2.LeafRegions()
+	rects, _ = p2.Sealed().LeafRegions()
 	if len(rects) != p2.Arena().NumLeaves() {
 		t.Errorf("unpruned LeafRegions = %d, want %d", len(rects), p2.Arena().NumLeaves())
 	}
@@ -474,7 +474,7 @@ func TestLeafOnlyStrategyWithoutPostProcessing(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := geom.NewRect(0, 0, 8, 8) // exactly one depth-1 quadrant
-	ans, st := p.QueryWithStats(q)
+	ans, st := p.Sealed().QueryWithStats(q)
 	// The quadrant node is unpublished: the answer must come from its 4
 	// leaf children.
 	if st.NodesAdded != 4 {
@@ -499,7 +499,7 @@ func TestDeterminismBySeed(t *testing.T) {
 	}
 	a, b := build(), build()
 	q := geom.NewRect(10, 10, 60, 40)
-	if a.Query(q) != b.Query(q) {
+	if a.Sealed().Query(q) != b.Sealed().Query(q) {
 		t.Error("same seed should produce identical trees")
 	}
 	for i := range a.Arena().Nodes {
@@ -559,7 +559,7 @@ func TestOptimizationsReduceError(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range queries {
-				sum += math.Abs(p.Query(q) - p.TrueAnswer(q))
+				sum += math.Abs(p.Sealed().Query(q) - p.TrueAnswer(q))
 			}
 		}
 		return sum / float64(trials*len(queries))

@@ -36,7 +36,7 @@ func degenerateQueries(dom geom.Rect) []geom.Rect {
 }
 
 // TestDegenerateRectsPinnedAcrossEngines pins degenerate query rectangles
-// bit-identical across all three engines — the arena DFS (PSD.Query), the
+// bit-identical across the arena reference DFS (arena_ref_test.go), the
 // slab DFS (Slab.Query) and the node-major batch engine (CountBatch) — for
 // every decomposition family, including pruned and partially published
 // trees. Values AND traversal statistics must match; batch answers must
@@ -54,7 +54,7 @@ func TestDegenerateRectsPinnedAcrossEngines(t *testing.T) {
 		var batchWantSt QueryStats
 		want := make([]float64, len(qs))
 		for i, q := range qs {
-			av, ast := p.QueryWithStats(q)
+			av, ast := arenaRef{p}.QueryWithStats(q)
 			sv, sst := s.QueryWithStats(q)
 			if av != sv {
 				t.Errorf("%v: %v: arena %v, slab %v", cfg.Kind, q, av, sv)

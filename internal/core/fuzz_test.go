@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,7 +23,8 @@ func nodeCountOf(vb []byte) int {
 // full untrusted-artifact paths the server uses — the JSON decoder and the
 // format v2 and v3 binary decoders: parse, validate, open, query. Whatever the
 // input, neither pipeline may panic, and anything that opens must answer
-// with finite counts through both the arena and the slab read path.
+// with finite counts. The v2 seeds are the committed golden artifacts: v2 is
+// read-only, so those files are the encoder's last word on the format.
 func FuzzReadRelease(f *testing.F) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(512, dom, 31)
@@ -50,13 +54,42 @@ func FuzzReadRelease(f *testing.F) {
 		} {
 			f.Add(mut)
 		}
-		// The same artifact in format v2 seeds the binary decoder, with the
-		// matching corruption classes: header fields, truncation, bit flips.
-		var bin bytes.Buffer
-		if _, err := p.Release().WriteBinary(&bin); err != nil {
+		// The same artifact in format v3 seeds the record-major decoder:
+		// trailing garbage, truncations at every 64-aligned section boundary,
+		// checksum and footer-magic damage, and flipped body bits.
+		var b3 bytes.Buffer
+		if _, err := p.Release().WriteBinaryV3(&b3); err != nil {
 			f.Fatal(err)
 		}
-		vb := bin.Bytes()
+		v3 := b3.Bytes()
+		lay := v3LayoutFor(p.Len())
+		f.Add(v3)
+		f.Add(append(append([]byte{}, v3...), 0xAA))
+		for _, cut := range []int64{v3HeaderSize, lay.recordsEnd, lay.usableOff + lay.bitsetLen,
+			lay.prunedOff + lay.bitsetLen, lay.footerOff, int64(len(v3)) - 1} {
+			f.Add(v3[:cut])
+		}
+		f.Add(corrupt(v3, 4, 9))                                    // bad version
+		f.Add(corrupt(v3, 56, 1))                                   // non-zero reserved header
+		f.Add(corrupt(v3, int(lay.recordsOff)+3, 0x40))             // record bit flip
+		f.Add(corrupt(v3, int(lay.recordsEnd), 1))                  // non-zero pad
+		f.Add(corrupt(v3, int(lay.footerOff), v3[lay.footerOff]^1)) // checksum damage
+		f.Add(corrupt(v3, int(lay.footerOff)+8, 'X'))               // footer magic damage
+	}
+	goldens, err := filepath.Glob(filepath.Join("..", "..", "testdata", "release_*.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range goldens {
+		if strings.HasSuffix(path, ".v3.bin") {
+			continue
+		}
+		vb, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Each v2 golden seeds the columnar decoder with the matching
+		// corruption classes: header fields, truncation, bit flips.
 		f.Add(vb)
 		for _, mut := range [][]byte{
 			append([]byte{'P', 'S', 'D', '2', 9}, vb[5:]...),     // bad version
@@ -69,7 +102,7 @@ func FuzzReadRelease(f *testing.F) {
 		}
 		// Truncations at every section boundary: end of header, end of each
 		// float64 column, end of the published bitset, one byte shy of the
-		// full artifact (a torn pruned trailer).
+		// full artifact (a torn pruned trailer on the pruned goldens).
 		nodes := nodeCountOf(vb)
 		for col := 1; col <= 5; col++ {
 			if off := binaryHeaderSize + col*8*nodes; off <= len(vb) {
@@ -85,33 +118,11 @@ func FuzzReadRelease(f *testing.F) {
 		f.Add(append(append([]byte{}, vb...), 0xAA))
 		// Over-length claims: header fields inflated far past what the body
 		// (or any tree) could carry — node count maxed, height past the
-		// arena cap, pruned count past the node count.
+		// node cap, pruned count past the node count.
 		f.Add(corrupt(vb, 48, 0xff, 0xff, 0xff, 0xff))
 		f.Add(corrupt(vb, 7, 13))
 		f.Add(corrupt(vb, 7, 255))
 		f.Add(corrupt(vb, 52, 0xff, 0xff, 0xff, 0x7f))
-
-		// The same artifact in format v3 seeds the record-major decoder:
-		// trailing garbage, truncations at every 64-aligned section boundary,
-		// checksum and footer-magic damage, and flipped body bits.
-		var b3 bytes.Buffer
-		if _, err := p.Release().WriteBinaryV3(&b3); err != nil {
-			f.Fatal(err)
-		}
-		v3 := b3.Bytes()
-		lay := v3LayoutFor(nodes)
-		f.Add(v3)
-		f.Add(append(append([]byte{}, v3...), 0xAA))
-		for _, cut := range []int64{v3HeaderSize, lay.recordsEnd, lay.usableOff + lay.bitsetLen,
-			lay.prunedOff + lay.bitsetLen, lay.footerOff, int64(len(v3)) - 1} {
-			f.Add(v3[:cut])
-		}
-		f.Add(corrupt(v3, 4, 9))                                    // bad version
-		f.Add(corrupt(v3, 56, 1))                                   // non-zero reserved header
-		f.Add(corrupt(v3, int(lay.recordsOff)+3, 0x40))             // record bit flip
-		f.Add(corrupt(v3, int(lay.recordsEnd), 1))                  // non-zero pad
-		f.Add(corrupt(v3, int(lay.footerOff), v3[lay.footerOff]^1)) // checksum damage
-		f.Add(corrupt(v3, int(lay.footerOff)+8, 'X'))               // footer magic damage
 	}
 	f.Add([]byte(`{}`))
 	// A bare over-claiming header with no body at all: the decoder must
@@ -129,15 +140,8 @@ func FuzzReadRelease(f *testing.F) {
 		if slab, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			rects, counts := slab.LeafRegions()
 			checkOpened(t, slab.Query(slab.Domain()), rects, counts)
-			// Canonical encoding: decode(encode(decode(x))) is stable, in
-			// both binary formats, whichever format x arrived in.
-			var out bytes.Buffer
-			if _, err := slab.WriteBinary(&out); err != nil {
-				t.Fatalf("re-encoding a decoded binary release failed: %v", err)
-			}
-			if _, err := ReadBinary(bytes.NewReader(out.Bytes())); err != nil {
-				t.Fatalf("re-encoded binary release does not decode: %v", err)
-			}
+			// Canonical encoding: decode(encode(decode(x))) is stable,
+			// whichever binary format x arrived in.
 			var out3 bytes.Buffer
 			if _, err := slab.WriteBinaryV3(&out3); err != nil {
 				t.Fatalf("re-encoding a decoded release as v3 failed: %v", err)
@@ -147,24 +151,17 @@ func FuzzReadRelease(f *testing.F) {
 			}
 		}
 
-		// JSON decode path, through both the arena and the slab.
+		// JSON decode path.
 		rel, err := ReadRelease(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: fine, as long as we didn't panic
 		}
-		p, err := OpenRelease(rel)
-		if err != nil {
-			t.Fatalf("ReadRelease validated but OpenRelease failed: %v", err)
-		}
-		rects, counts := p.LeafRegions()
-		checkOpened(t, p.Query(p.Domain()), rects, counts)
 		slab, err := rel.Slab()
 		if err != nil {
 			t.Fatalf("ReadRelease validated but Slab failed: %v", err)
 		}
-		if got, want := slab.Query(slab.Domain()), p.Query(p.Domain()); got != want {
-			t.Fatalf("slab domain count %v, arena %v", got, want)
-		}
+		rects, counts := slab.LeafRegions()
+		checkOpened(t, slab.Query(slab.Domain()), rects, counts)
 	})
 }
 
@@ -187,8 +184,8 @@ func checkOpened(t *testing.T, domainCount float64, rects []geom.Rect, counts []
 
 // FuzzCountBatch drives the node-major batch engine with arbitrary rect
 // batches: whatever the batch, CountBatch must agree EXACTLY — answers and
-// aggregate traversal statistics — with the sequential per-query loop, on
-// both the arena and the slab read path, at several worker counts. Unlike
+// aggregate traversal statistics — with the sequential per-query loop, and
+// the slab with the arena reference, at several worker counts. Unlike
 // FuzzCount, non-finite bounds are kept: the engine must treat them exactly
 // as the per-query walk does (visit the root, answer 0).
 func FuzzCountBatch(f *testing.F) {
@@ -227,10 +224,10 @@ func FuzzCountBatch(f *testing.F) {
 		for _, p := range fuzzTrees() {
 			s := p.Sealed()
 			want, wantSt := sumStats(s, qs)
-			// The arena per-query loop must agree with the slab per-query
-			// loop (already pinned, but it anchors this target's reference).
+			// The arena reference must agree with the slab per-query loop
+			// (already pinned, but it anchors this target's reference).
 			for i, q := range qs {
-				if av := p.Query(q); av != want[i] {
+				if av := (arenaRef{p}).Query(q); av != want[i] {
 					t.Fatalf("arena Query(%v) = %v, slab %v", q, av, want[i])
 				}
 			}
@@ -310,7 +307,7 @@ func FuzzCount(f *testing.F) {
 		}
 		q := geom.Rect{Lo: geom.Point{X: a, Y: b}, Hi: geom.Point{X: c, Y: d}}
 		for _, p := range fuzzTrees() {
-			got := p.Query(q)
+			got := p.Sealed().Query(q)
 			if math.IsNaN(got) || math.IsInf(got, 0) {
 				t.Fatalf("Query(%v) = %v, not finite", q, got)
 			}
@@ -319,7 +316,7 @@ func FuzzCount(f *testing.F) {
 			// (b) Leaf-region decomposition: summing every effective leaf's
 			// estimate weighted by its overlap fraction is the flat-histogram
 			// answer; on a consistent tree the hierarchical walk must agree.
-			rects, counts := p.LeafRegions()
+			rects, counts := p.Sealed().LeafRegions()
 			var flat float64
 			for i, r := range rects {
 				flat += counts[i] * r.OverlapFraction(q)
@@ -332,7 +329,7 @@ func FuzzCount(f *testing.F) {
 			// when the root released one (PrivTree publishes only adaptive
 			// leaves, so its domain answer is the leaf sum checked in (b)).
 			if p.Arena().Root().Published || p.PostProcessed() {
-				if root := p.Query(p.Domain()); math.Abs(root-p.Arena().Root().Est) > 1e-6*(1+math.Abs(root)) {
+				if root := p.Sealed().Query(p.Domain()); math.Abs(root-p.Arena().Root().Est) > 1e-6*(1+math.Abs(root)) {
 					t.Fatalf("Query(domain) = %v, root estimate %v", root, p.Arena().Root().Est)
 				}
 			}
@@ -342,7 +339,7 @@ func FuzzCount(f *testing.F) {
 			if q.Width() > 0 {
 				mid := (q.Lo.X + q.Hi.X) / 2
 				left, right := q.SplitX(mid)
-				sum := p.Query(left) + p.Query(right)
+				sum := p.Sealed().Query(left) + p.Sealed().Query(right)
 				if math.Abs(sum-got) > tol {
 					t.Fatalf("Query(%v) = %v but split sum = %v", q, got, sum)
 				}

@@ -167,24 +167,26 @@ func TestCountAllMatchesQuery(t *testing.T) {
 		}
 		qs[i] = geom.NewRect(x1, y1, x2+1e-9, y2+1e-9)
 	}
+	s := p.Sealed()
 	for _, workers := range []int{0, 1, 3, 16} {
-		got := p.CountAllWorkers(qs, workers)
+		got := s.CountAllWorkers(qs, workers)
 		if len(got) != len(qs) {
 			t.Fatalf("workers=%d: %d answers for %d queries", workers, len(got), len(qs))
 		}
 		for i, q := range qs {
-			if want := p.Query(q); got[i] != want {
+			if want := s.Query(q); got[i] != want {
 				t.Fatalf("workers=%d query %d: CountAll=%v Query=%v", workers, i, got[i], want)
 			}
 		}
 	}
-	if out := p.CountAll(nil); len(out) != 0 {
+	if out := s.CountAll(nil); len(out) != 0 {
 		t.Errorf("CountAll(nil) = %v, want empty", out)
 	}
 }
 
-// LeafRegions' iterative traversal must reproduce the recursive reference
-// order and its capacity pre-sizing must be exact (no realloc, no slack).
+// The slab's iterative LeafRegions must reproduce the recursive arena
+// reference order and its capacity pre-sizing must be exact (no realloc, no
+// slack).
 func TestLeafRegionsIterativeMatchesRecursive(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(4000, dom, 222)
@@ -197,23 +199,8 @@ func TestLeafRegionsIterativeMatchesRecursive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantRects []geom.Rect
-		var wantCounts []float64
-		var rec func(idx int)
-		rec = func(idx int) {
-			n := &p.arena.Nodes[idx]
-			if p.arena.IsLeaf(idx) || n.Pruned {
-				wantRects = append(wantRects, n.Rect)
-				wantCounts = append(wantCounts, n.Est)
-				return
-			}
-			cs := p.arena.ChildStart(idx)
-			for j := 0; j < 4; j++ {
-				rec(cs + j)
-			}
-		}
-		rec(0)
-		rects, counts := p.LeafRegions()
+		wantRects, wantCounts := arenaRef{p}.LeafRegions()
+		rects, counts := p.Sealed().LeafRegions()
 		if len(rects) != len(wantRects) {
 			t.Fatalf("prune=%v: %d regions, want %d", cfg.PruneThreshold, len(rects), len(wantRects))
 		}
@@ -234,7 +221,8 @@ func TestLeafRegionsIterativeMatchesRecursive(t *testing.T) {
 }
 
 // A pruned release must round-trip its effective-leaf pre-sizing through
-// serialization: OpenRelease recomputes it from the pruned node list.
+// serialization: opening it as a slab recomputes the count from the pruned
+// node list.
 func TestOpenReleaseLeafRegionPresizing(t *testing.T) {
 	dom := geom.NewRect(0, 0, 32, 32)
 	pts := randomPoints(2000, dom, 333)
@@ -245,12 +233,12 @@ func TestOpenReleaseLeafRegionPresizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenRelease(p.Release())
+	re, err := p.Release().Slab()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotR, gotC := re.LeafRegions()
-	wantR, wantC := p.LeafRegions()
+	wantR, wantC := arenaRef{p}.LeafRegions()
 	if len(gotR) != len(wantR) {
 		t.Fatalf("reopened release has %d regions, want %d", len(gotR), len(wantR))
 	}

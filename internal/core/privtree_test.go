@@ -50,7 +50,7 @@ func TestPrivTreeAdaptiveShape(t *testing.T) {
 			published++
 		}
 	}
-	rects, counts := p.LeafRegions()
+	rects, counts := p.Sealed().LeafRegions()
 	if published != len(rects) || published != p.effLeaves {
 		t.Fatalf("published %d, leaf regions %d, effLeaves %d", published, len(rects), p.effLeaves)
 	}
@@ -67,7 +67,7 @@ func TestPrivTreeAdaptiveShape(t *testing.T) {
 	for _, c := range counts {
 		sum += c
 	}
-	got := p.Query(dom)
+	got := p.Sealed().Query(dom)
 	if math.Abs(got-sum) > 1e-6*(1+math.Abs(sum)) {
 		t.Fatalf("Query(domain) = %v, leaf sum %v", got, sum)
 	}
@@ -140,7 +140,7 @@ func TestPrivTreeTheta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _ := p.LeafRegions()
+		r, _ := p.Sealed().LeafRegions()
 		return len(r)
 	}
 	lo, hi := regions(0), regions(256)
@@ -152,9 +152,9 @@ func TestPrivTreeTheta(t *testing.T) {
 	}
 }
 
-// TestPrivTreeRelease round-trips the artifact through both formats and
-// both read paths: byte-identical re-serialization, and bit-identical
-// answers from the reopened arena, the JSON slab and the binary slab.
+// TestPrivTreeRelease round-trips the artifact through both written formats:
+// byte-identical re-serialization, and bit-identical answers from the JSON
+// slab and the binary slab.
 func TestPrivTreeRelease(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 21)
@@ -170,23 +170,15 @@ func TestPrivTreeRelease(t *testing.T) {
 	if _, err := rel.WriteTo(&js); err != nil {
 		t.Fatal(err)
 	}
-	reread, err := ReadRelease(bytes.NewReader(js.Bytes()))
+	slab, err := ReadSlab(bytes.NewReader(js.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenRelease(reread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Kind() != PrivTree {
-		t.Fatalf("reopened kind %v", reopened.Kind())
-	}
-	slab, err := reread.Slab()
-	if err != nil {
-		t.Fatal(err)
+	if slab.Kind() != PrivTree {
+		t.Fatalf("reopened kind %v", slab.Kind())
 	}
 	var bin bytes.Buffer
-	if _, err := rel.WriteBinary(&bin); err != nil {
+	if _, err := rel.WriteBinaryV3(&bin); err != nil {
 		t.Fatal(err)
 	}
 	binSlab, err := ReadBinary(bytes.NewReader(bin.Bytes()))
@@ -194,10 +186,7 @@ func TestPrivTreeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range slabTestQueries(dom) {
-		want := p.Query(q)
-		if got := reopened.Query(q); got != want {
-			t.Errorf("reopened Query(%v) = %v, want %v", q, got, want)
-		}
+		want := arenaRef{p}.Query(q)
 		if got := slab.Query(q); got != want {
 			t.Errorf("json slab Query(%v) = %v, want %v", q, got, want)
 		}
@@ -206,14 +195,14 @@ func TestPrivTreeRelease(t *testing.T) {
 		}
 	}
 	var again bytes.Buffer
-	if _, err := reopened.Release().WriteTo(&again); err != nil {
+	if _, err := slab.Release().WriteTo(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), js.Bytes()) {
 		t.Error("reopened release does not re-serialize identically")
 	}
 	var binAgain bytes.Buffer
-	if _, err := binSlab.WriteBinary(&binAgain); err != nil {
+	if _, err := binSlab.WriteBinaryV3(&binAgain); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(binAgain.Bytes(), bin.Bytes()) {

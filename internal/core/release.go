@@ -12,8 +12,8 @@ import (
 
 // Release is the serializable private artifact of a PSD: the tree geometry
 // plus the released counts, and nothing derived from the raw data beyond
-// them. This is what a curator actually publishes; OpenRelease reconstructs
-// a query-only tree from it with no access to the original points.
+// them. This is what a curator actually publishes; Release.Slab decodes it
+// into a query-only slab with no access to the original points.
 //
 // The format is versioned JSON. Counts are the post-processed estimates
 // when post-processing ran (they are a deterministic function of the noisy
@@ -92,7 +92,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // ReadRelease parses and validates a JSON release. The input is treated as
 // untrusted: a successfully parsed release is structurally sound (see
-// Validate), so callers may hand the result straight to OpenRelease.
+// Validate), which ReadSlab relies on to decode without re-checking.
 func ReadRelease(r io.Reader) (*Release, error) {
 	var rel Release
 	dec := json.NewDecoder(r)
@@ -107,16 +107,16 @@ func ReadRelease(r io.Reader) (*Release, error) {
 
 // maxReleaseHeight bounds the tree height a release may declare. It matches
 // the build-side cap in Config.withDefaults; together with the fanout check
-// it keeps a malicious artifact from forcing a huge arena allocation before
+// it keeps a malicious artifact from forcing a huge slab allocation before
 // the length checks run.
 const maxReleaseHeight = 13
 
-// Validate checks a release for structural soundness without allocating the
-// arena: version and kind are known, the fanout/height product is sane and
+// Validate checks a release for structural soundness without allocating
+// node storage: version and kind are known, the fanout/height product is sane and
 // matches the rects/counts lengths, every rectangle is finite and ordered,
 // every published count is finite, epsilon is a finite non-negative budget,
 // the domain is a finite non-empty rectangle, and pruned indices are
-// in-range and distinct. OpenRelease validates automatically; ReadRelease
+// in-range and distinct. Release.Slab validates automatically; ReadRelease
 // rejects artifacts that fail these checks at parse time.
 func (r *Release) Validate() error {
 	if r.Version != releaseVersion {
@@ -213,59 +213,6 @@ func checkDomain(v [4]float64) error {
 		return fmt.Errorf("core: release domain %v is inverted or empty", v)
 	}
 	return nil
-}
-
-// OpenRelease reconstructs a query-only PSD from a release. The resulting
-// tree answers Query/QueryWithStats/LeafRegions exactly as the original
-// did; TrueAnswer is unavailable (the release carries no exact counts) and
-// returns NaN-free zeros.
-func OpenRelease(rel *Release) (*PSD, error) {
-	// Validate before NewComplete: the checks are allocation-free, so a
-	// malformed artifact (e.g. a huge declared height with a tiny rects
-	// array) is rejected before the arena is ever sized.
-	if err := rel.Validate(); err != nil {
-		return nil, err
-	}
-	ar, err := tree.NewComplete(rel.Fanout, rel.Height)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ar.Nodes {
-		ar.Nodes[i].Rect = unflattenRect(rel.Rects[i])
-		if c := rel.Counts[i]; c != nil {
-			ar.Nodes[i].Est = *c
-			ar.Nodes[i].Published = true
-		}
-	}
-	effLeaves := ar.NumLeaves()
-	for _, i := range rel.Pruned {
-		ar.Nodes[i].Pruned = true
-		// Each pruned depth-d root collapses its 4^(h-d) leaves into one
-		// region; track the loss so LeafRegions can pre-size exactly.
-		if d := ar.Depth(i); d < rel.Height {
-			effLeaves -= 1<<(2*(rel.Height-d)) - 1
-		}
-	}
-	if effLeaves < 1 {
-		effLeaves = 1
-	}
-	kind, err := parseKind(rel.Kind)
-	if err != nil {
-		return nil, err
-	}
-	return &PSD{
-		kind:    kind,
-		arena:   ar,
-		domain:  unflattenRect(rel.Domain),
-		epsilon: rel.Epsilon,
-		// Per-node Published flags carry which counts exist; a release of a
-		// post-processed tree has counts everywhere, so queries behave
-		// identically to the original either way.
-		postProcessed: false,
-		countEps:      make([]float64, rel.Height+1),
-		structEps:     rel.Epsilon, // conservative: the whole spend
-		effLeaves:     effLeaves,
-	}, nil
 }
 
 func parseKind(s string) (Kind, error) {

@@ -32,7 +32,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenRelease(rel)
+	reopened, err := rel.Slab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 		geom.NewRect(99, 99, 100, 100),
 	}
 	for _, q := range queries {
-		a, b := orig.Query(q), reopened.Query(q)
+		a, b := orig.Sealed().Query(q), reopened.Query(q)
 		if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
 			t.Errorf("query %v: original %v, reopened %v", q, a, b)
 		}
@@ -57,7 +57,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 		t.Errorf("privacy cost = %v, want %v", reopened.PrivacyCost(), orig.PrivacyCost())
 	}
 	// Pruned regions survive: the effective leaf sets agree.
-	ra, ca := orig.LeafRegions()
+	ra, ca := orig.Sealed().LeafRegions()
 	rb, cb := reopened.LeafRegions()
 	if len(ra) != len(rb) {
 		t.Fatalf("leaf regions: %d vs %d", len(ra), len(rb))
@@ -71,7 +71,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 
 func TestReleaseLeafOnlyRoundTrip(t *testing.T) {
 	// Releases without post-processing publish only some levels; the
-	// reopened tree must still answer by descending to published nodes.
+	// reopened slab must still answer by descending to published nodes.
 	dom := geom.NewRect(0, 0, 16, 16)
 	pts := gridPoints(16, dom)
 	orig, err := Build(pts, dom, Config{
@@ -89,12 +89,12 @@ func TestReleaseLeafOnlyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenRelease(rel)
+	reopened, err := rel.Slab()
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := geom.NewRect(0, 0, 8, 8)
-	if a, b := orig.Query(q), reopened.Query(q); math.Abs(a-b) > 1e-9 {
+	if a, b := orig.Sealed().Query(q), reopened.Query(q); math.Abs(a-b) > 1e-9 {
 		t.Errorf("leaf-only query: original %v, reopened %v", a, b)
 	}
 }
@@ -120,13 +120,6 @@ func TestReleaseCarriesNoTrueCounts(t *testing.T) {
 	if strings.Contains(buf.String(), `"true"`) {
 		t.Error("release JSON contains a field named true")
 	}
-	rel, _ := ReadRelease(bytes.NewReader(buf.Bytes()))
-	reopened, _ := OpenRelease(rel)
-	for i := range reopened.Arena().Nodes {
-		if reopened.Arena().Nodes[i].True != 0 {
-			t.Fatal("reopened release has exact counts")
-		}
-	}
 }
 
 func TestOpenReleaseValidation(t *testing.T) {
@@ -137,76 +130,76 @@ func TestOpenReleaseValidation(t *testing.T) {
 
 	bad := *good
 	bad.Version = 99
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("bad version should error")
 	}
 	bad = *good
 	bad.Fanout = 2
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("bad fanout should error")
 	}
 	bad = *good
 	bad.Rects = bad.Rects[:1]
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("truncated rects should error")
 	}
 	bad = *good
 	bad.Kind = "mystery"
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("unknown kind should error")
 	}
 	bad = *good
 	bad.Pruned = []int{999}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("out-of-range pruned index should error")
 	}
 	bad = *good
 	nan := math.NaN()
 	bad.Counts = append([]*float64{}, good.Counts...)
 	bad.Counts[0] = &nan
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("NaN count should error")
 	}
 	bad = *good
 	bad.Rects = append([][4]float64{}, good.Rects...)
 	bad.Rects[0] = [4]float64{5, 5, 1, 1}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("inverted rect should error")
 	}
 	bad = *good
 	bad.Rects = append([][4]float64{}, good.Rects...)
 	bad.Rects[1] = [4]float64{0, 0, math.Inf(1), 1}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("non-finite rect should error")
 	}
 	bad = *good
 	bad.Epsilon = math.Inf(1)
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("non-finite epsilon should error")
 	}
 	bad = *good
 	bad.Epsilon = -1
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("negative epsilon should error")
 	}
 	bad = *good
 	bad.Domain = [4]float64{0, 0, math.NaN(), 10}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("non-finite domain should error")
 	}
 	bad = *good
 	bad.Domain = [4]float64{10, 10, 0, 0}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("inverted domain should error")
 	}
 	bad = *good
 	bad.Pruned = []int{1, 1}
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("duplicate pruned index should error")
 	}
 	bad = *good
 	bad.Height = -1
-	if _, err := OpenRelease(&bad); err == nil {
+	if _, err := bad.Slab(); err == nil {
 		t.Error("negative height should error")
 	}
 	if _, err := ReadRelease(strings.NewReader("{not json")); err == nil {

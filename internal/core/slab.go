@@ -20,9 +20,10 @@ import (
 // only the rectangle bounds, the released estimate, and one child offset.
 //
 // A slab is immutable once materialized — by Seal from a built PSD, by
-// Release.Slab from a parsed JSON artifact, or by ReadBinary straight from a
-// format-v2 binary artifact — and is safe for concurrent queries. It is the
-// only representation internal/serve serves.
+// Release.Slab from a parsed JSON artifact, or by ReadBinary/OpenSlabMmap
+// from a binary (v2 or v3) artifact — and is safe for concurrent queries. It
+// is the only query engine: built trees answer through PSD.Sealed, and
+// internal/serve serves nothing else.
 type Slab struct {
 	kind    Kind
 	height  int
@@ -202,7 +203,8 @@ func (s *Slab) depth(i int) int {
 }
 
 // computeEffLeaves counts the effective leaf regions after pruning, exactly
-// as OpenRelease does for the arena path. It iterates the set bits of the
+// as the build tracks them: a pruned depth-d root collapses its 4^(h-d)
+// leaves into one region. It iterates the set bits of the
 // pruned bitset (O(words + pruned), not a per-node get loop): mmap open
 // runs this on every artifact, so it must stay cheap at tens of millions
 // of nodes.
@@ -223,9 +225,9 @@ func (s *Slab) computeEffLeaves() {
 	s.effLeaves = eff
 }
 
-// Seal materializes the flat read path of a built PSD. The slab answers
-// Query, CountAll and LeafRegions bit-identically to the PSD it was sealed
-// from; the PSD itself remains usable (Seal copies, it does not steal).
+// Seal materializes the flat read path of a built PSD as a fresh slab the
+// caller owns (Sealed caches the PSD's own); the PSD itself remains usable
+// (Seal copies, it does not steal).
 func (p *PSD) Seal() *Slab {
 	ar := p.arena
 	s := newSlab(p.kind, ar.Height(), p.domain, p.PrivacyCost())
@@ -240,10 +242,7 @@ func (p *PSD) Seal() *Slab {
 			s.markPruned(i)
 		}
 	}
-	s.effLeaves = p.effLeaves
-	if s.effLeaves < 1 {
-		s.effLeaves = 1
-	}
+	s.effLeaves = p.NumRegions()
 	s.finish()
 	return s
 }
@@ -312,6 +311,7 @@ func (s *Slab) Release() *Release {
 		Domain:  flattenRect(s.domain),
 		Rects:   make([][4]float64, n),
 		Counts:  make([]*float64, n),
+		Pruned:  s.prunedIndices(),
 	}
 	for i := 0; i < n; i++ {
 		nd := &s.nodes[i]
@@ -320,11 +320,31 @@ func (s *Slab) Release() *Release {
 			v := nd[4]
 			rel.Counts[i] = &v
 		}
-		if s.pruned.get(i) {
-			rel.Pruned = append(rel.Pruned, i)
-		}
 	}
 	return rel
+}
+
+// prunedIndices lists the pruned subtree roots in ascending order. The
+// output is sized from a popcount over the bitset and filled by iterating
+// its set bits, so heavily-pruned releases (adaptive PrivTree shapes can
+// prune most of the tree) pay O(words + pruned), not repeated append growth
+// over an O(n) scan.
+func (s *Slab) prunedIndices() []int {
+	count := 0
+	for _, w := range s.pruned {
+		count += bits.OnesCount64(w)
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]int, 0, count)
+	for wi, w := range s.pruned {
+		for w != 0 {
+			out = append(out, wi*64+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return out
 }
 
 // Kind returns the decomposition family.
@@ -371,9 +391,11 @@ func (s *Slab) getStack() *[]int32 {
 func (s *Slab) putStack(st *[]int32) { s.stacks.Put(st) }
 
 // Query estimates the number of data points inside q using the canonical
-// range-query method of Section 4.1. Answers are bit-identical to the
-// arena path (PSD.Query) on the same release: the slab traversal visits the
-// same nodes and accumulates the same contributions in the same order.
+// range-query method of Section 4.1: starting from the root, nodes fully
+// contained in q contribute their released count, partially intersecting
+// internal nodes descend, and partially intersecting leaves contribute
+// under the uniformity assumption. The test-only arena reference
+// (arena_ref_test.go) pins the walk node for node, QueryStats included.
 func (s *Slab) Query(q geom.Rect) float64 {
 	s.ensureOpen()
 	var st QueryStats
@@ -428,10 +450,11 @@ const slabAddWhole = 1
 // queryIter runs the canonical method over the columns with an explicit
 // stack. At every partially intersecting internal node it classifies all
 // four children in one pass over the contiguous rect column segment:
-// children missing the query are never pushed (the arena path pushes and
-// re-pops them), and children fully inside it are pushed pre-classified, so
+// children missing the query are never pushed (a plain DFS would push and
+// re-pop them), and children fully inside it are pushed pre-classified, so
 // their pop is a single est load. The push order keeps pops — and therefore
-// the floating-point accumulation order — exactly the arena path's.
+// the floating-point accumulation order — in child order, exactly a plain
+// left-to-right DFS's.
 //
 // cancel, when non-nil, is polled at bounded checkpoints (see cancel.go);
 // when it fires the walk abandons its partial sum, which the *Ctx callers
@@ -439,8 +462,8 @@ const slabAddWhole = 1
 // pop.
 func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *cancelToken) float64 {
 	if q.Lo.X != q.Lo.X || q.Lo.Y != q.Lo.Y || q.Hi.X != q.Hi.X || q.Hi.Y != q.Hi.Y {
-		// A NaN bound fails every interval test: like the arena path, the
-		// walk visits the root, finds no intersection, and answers 0.
+		// A NaN bound fails every interval test: like a plain DFS, the walk
+		// visits the root, finds no intersection, and answers 0.
 		st.NodesVisited++
 		return 0
 	}
@@ -501,7 +524,7 @@ func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *ca
 			c := cs + j
 			cr := &nodes[c]
 			if cr[0] >= q.Hi.X || q.Lo.X >= cr[2] || cr[1] >= q.Hi.Y || q.Lo.Y >= cr[3] {
-				// The arena path would pop it just to discard it; account for
+				// A plain DFS would pop it just to discard it; account for
 				// the visit without the stack round-trip.
 				visited++
 				continue
@@ -542,9 +565,10 @@ func overlapFraction(r *[5]float64, q geom.Rect) float64 {
 }
 
 // LeafRegions returns the rectangles and estimated counts of the effective
-// leaves of the release (actual leaves plus pruned subtree roots), exactly
-// as PSD.LeafRegions does, with the output pre-sized from the tracked
-// effective-leaf count.
+// leaves of the release (actual leaves plus pruned subtree roots) in
+// left-to-right DFS order — the flat view applications like record matching
+// block on — with the output pre-sized from the tracked effective-leaf
+// count.
 func (s *Slab) LeafRegions() ([]geom.Rect, []float64) {
 	s.ensureOpen()
 	capHint := s.effLeaves

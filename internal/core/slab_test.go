@@ -50,9 +50,10 @@ func slabTestQueries(dom geom.Rect) []geom.Rect {
 	}
 }
 
-// TestSlabMatchesArena pins the tentpole invariant: the sealed slab answers
-// every query bit-identically to the arena path, with identical traversal
-// statistics, and reproduces LeafRegions exactly.
+// TestSlabMatchesArena pins the query engine to the arena reference: the
+// sealed slab answers every query bit-identically to a plain DFS over the
+// build arena, with identical traversal statistics, and reproduces its leaf
+// regions exactly.
 func TestSlabMatchesArena(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 7)
@@ -67,7 +68,7 @@ func TestSlabMatchesArena(t *testing.T) {
 			t.Fatalf("%v: slab metadata differs from PSD", cfg.Kind)
 		}
 		for _, q := range slabTestQueries(dom) {
-			wantV, wantSt := p.QueryWithStats(q)
+			wantV, wantSt := arenaRef{p}.QueryWithStats(q)
 			gotV, gotSt := s.QueryWithStats(q)
 			if gotV != wantV {
 				t.Errorf("%v: slab Query(%v) = %v, arena %v", cfg.Kind, q, gotV, wantV)
@@ -79,14 +80,15 @@ func TestSlabMatchesArena(t *testing.T) {
 				t.Errorf("%v: slab Query(%v) = %v, want %v", cfg.Kind, q, g, wantV)
 			}
 		}
-		wantR, wantC := p.LeafRegions()
+		wantR, wantC := arenaRef{p}.LeafRegions()
 		gotR, gotC := s.LeafRegions()
 		if len(gotR) != len(wantR) || len(gotC) != len(wantC) {
 			t.Fatalf("%v: slab LeafRegions %d/%d, arena %d/%d",
 				cfg.Kind, len(gotR), len(gotC), len(wantR), len(wantC))
 		}
-		if s.NumRegions() != len(wantR) {
-			t.Errorf("%v: NumRegions = %d, want %d", cfg.Kind, s.NumRegions(), len(wantR))
+		if s.NumRegions() != len(wantR) || p.NumRegions() != len(wantR) {
+			t.Errorf("%v: NumRegions = %d (slab) / %d (PSD), want %d",
+				cfg.Kind, s.NumRegions(), p.NumRegions(), len(wantR))
 		}
 		for i := range wantR {
 			if gotR[i] != wantR[i] || gotC[i] != wantC[i] {
@@ -97,8 +99,9 @@ func TestSlabMatchesArena(t *testing.T) {
 	}
 }
 
-// TestSlabFromReleaseMatchesOpenRelease pins that decoding a release
-// straight into a slab answers exactly as the arena OpenRelease path.
+// TestSlabFromReleaseMatchesOpenRelease pins that opening a release — decoded
+// straight into a slab, with partial publication carried as nil counts —
+// answers exactly as the arena reference on the tree that wrote it.
 func TestSlabFromReleaseMatchesOpenRelease(t *testing.T) {
 	dom := geom.NewRect(0, 0, 100, 100)
 	pts := randomPoints(2048, dom, 21)
@@ -107,12 +110,8 @@ func TestSlabFromReleaseMatchesOpenRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := p.Release()
-		arena, err := OpenRelease(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slab, err := rel.Slab()
+		arena := arenaRef{p}
+		slab, err := p.Release().Slab()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +197,9 @@ func TestSlabCountAllDeterministic(t *testing.T) {
 			}
 		}
 	}
-	arena := p.CountAll(qs)
-	for i := range want {
-		if arena[i] != want[i] {
-			t.Fatalf("arena CountAll[%d] = %v, slab %v", i, arena[i], want[i])
+	for i, q := range qs {
+		if a := (arenaRef{p}).Query(q); a != want[i] {
+			t.Fatalf("arena reference [%d] = %v, slab %v", i, a, want[i])
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // This file reproduces the "other parameter settings" sweeps that
 // Section 8.2 summarizes without plots, plus ablations of the design
-// choices DESIGN.md calls out.
+// choices the paper fixes (geometric budget ratio, Hilbert curve order,
+// pruning threshold).
 
 // SweepRow is one point of a one-dimensional parameter sweep: median
 // relative error (%) per query shape at one parameter value.

@@ -8,7 +8,8 @@
 // 600 queries per shape, as in Section 8.1) and Quick (a 10× smaller
 // dataset and 60 queries per shape) so `go test -bench` finishes in
 // minutes. The *shapes* of the results — who wins, by what factor — hold at
-// both scales; EXPERIMENTS.md records the paper-scale numbers.
+// both scales; pass -paper to cmd/psdbench for the paper-scale numbers (see
+// the README's Benchmarks section).
 package eval
 
 import (
@@ -109,12 +110,12 @@ func (e *Env) Queries(shape workload.QueryShape) (*workload.Queries, error) {
 
 // RelativeErrors returns the per-query relative errors (in %) of a PSD on a
 // workload: 100·|estimate − truth|/truth. GenQueries guarantees truth ≥ 1.
-// The whole workload is answered through the node-major batch engine
-// (PSD.CountBatch) — one pass over the sealed slab per workload — so figure
-// regeneration scales with the machine; answers are bit-identical to
-// querying one rectangle at a time.
+// The whole workload is answered through the node-major batch engine — one
+// pass over the PSD's sealed slab per workload — so figure regeneration
+// scales with the machine; answers are bit-identical to querying one
+// rectangle at a time.
 func RelativeErrors(p *core.PSD, qs *workload.Queries) []float64 {
-	out := p.CountBatch(qs.Rects)
+	out := p.Sealed().CountBatch(qs.Rects)
 	for i, est := range out {
 		out[i] = 100 * math.Abs(est-qs.Answers[i]) / qs.Answers[i]
 	}

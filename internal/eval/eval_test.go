@@ -155,7 +155,7 @@ func TestFigure5SmallRun(t *testing.T) {
 	// All errors are finite and sane. (Private variants are NOT required to
 	// lose to kd-pure: kd-pure still pays uniformity-assumption error, and
 	// a hybrid's quadtree-shaped leaves can align better with queries. The
-	// paper-scale ordering is recorded in EXPERIMENTS.md.)
+	// paper-scale ordering is what `psdbench -paper fig5` regenerates.)
 	for m, e := range errs {
 		if e < 0 || e > 1e4 {
 			t.Errorf("%s: implausible error %v%%", m, e)

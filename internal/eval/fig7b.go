@@ -28,7 +28,8 @@ type Figure7bConfig struct {
 // Figure7b reproduces Figure 7(b): the reduction ratio of private record
 // matching as the privacy budget grows, for the three blocking methods.
 // The two parties are synthetic point sets with partially overlapping
-// hotspots (see DESIGN.md on the substitution for the data of [12]).
+// hotspots: the records [12] matched are not public, and the reduction
+// ratio depends only on how the two parties' densities overlap.
 func Figure7b(cfg Figure7bConfig, epss []float64) ([]Figure7bRow, error) {
 	if cfg.PartySize == 0 {
 		cfg.PartySize = 12000

@@ -220,10 +220,11 @@ type GridBaselineRow struct {
 func GridBaseline(env *Env, gridSide, quadHeight int, eps float64, shapes []workload.QueryShape) ([]GridBaselineRow, error) {
 	gridSpec := core.Config{Kind: core.Quadtree, Height: quadHeight, Epsilon: eps,
 		Strategy: budget.Geometric{}, PostProcess: true, Seed: env.Scale.Seed}
-	quad, err := core.Build(env.Data.Points, env.Data.Domain, gridSpec)
+	p, err := core.Build(env.Data.Points, env.Data.Domain, gridSpec)
 	if err != nil {
 		return nil, err
 	}
+	quad := p.Sealed()
 	flat, err := buildFlatGrid(env, gridSide, eps)
 	if err != nil {
 		return nil, err

@@ -12,19 +12,30 @@ import (
 	"psd"
 )
 
-// binaryReleaseBytes serializes a tree's release in binary format v2.
+// binaryReleaseBytes serializes a tree's release in binary format v3.
 func binaryReleaseBytes(t *testing.T, tree *psd.Tree) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tree.WriteBinaryRelease(&buf); err != nil {
+	if err := tree.WriteBinaryV3Release(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// goldenFile reads a committed golden release fixture.
+func goldenFile(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestRegisterBinaryArtifact pins content negotiation on the upload path:
-// a binary-v2 body registers exactly like the JSON body of the same
-// release, and the two served releases answer identically.
+// binary bodies — a v3 artifact written now and the committed v2 golden,
+// which nothing writes any more — register exactly like the JSON body of
+// the same release, and the served releases answer identically.
 func TestRegisterBinaryArtifact(t *testing.T) {
 	tree := buildTree(t, 31)
 	reg := NewRegistry(64)
@@ -34,6 +45,14 @@ func TestRegisterBinaryArtifact(t *testing.T) {
 	binRel, err := reg.Register("bin", "test", bytes.NewReader(binaryReleaseBytes(t, tree)))
 	if err != nil {
 		t.Fatalf("registering binary artifact: %v", err)
+	}
+	goldJSON, err := reg.Register("gold-json", "test", bytes.NewReader(goldenFile(t, "release_quadtree.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldV2, err := reg.Register("gold-v2", "test", bytes.NewReader(goldenFile(t, "release_quadtree.bin")))
+	if err != nil {
+		t.Fatalf("registering the v2 golden: %v", err)
 	}
 	if binRel.Slab.Kind() != tree.Kind() || binRel.Slab.Height() != tree.Height() {
 		t.Fatalf("binary release metadata = %s h=%d", binRel.Slab.Kind(), binRel.Slab.Height())
@@ -51,9 +70,13 @@ func TestRegisterBinaryArtifact(t *testing.T) {
 		if got, _ := jsonRel.Count(q); got != want {
 			t.Errorf("json release Count(%v) = %v, want %v", q, got, want)
 		}
+		gotV2, _ := goldV2.Count(q)
+		if wantV2, _ := goldJSON.Count(q); gotV2 != wantV2 {
+			t.Errorf("v2 golden Count(%v) = %v, JSON golden %v", q, gotV2, wantV2)
+		}
 	}
 
-	// Over HTTP too: POST the binary body, query it back.
+	// Over HTTP too: POST the binary bodies, query them back.
 	api := &API{Registry: NewRegistry(64)}
 	srv := newTestServer(t, api)
 	var info releaseInfo
@@ -70,20 +93,32 @@ func TestRegisterBinaryArtifact(t *testing.T) {
 	if want := tree.Count(q); single.Count != want {
 		t.Fatalf("served binary count %v, want %v", single.Count, want)
 	}
+	postJSON(t, srv.URL+"/v1/releases/gold", goldenFile(t, "release_quadtree.bin"), http.StatusCreated, &info)
+	getJSON(t, fmt.Sprintf("%s/v1/releases/gold/count?rect=%g,%g,%g,%g",
+		srv.URL, q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y), http.StatusOK, &single)
+	if want, _ := goldJSON.Count(q); single.Count != want {
+		t.Fatalf("served v2 golden count %v, want %v", single.Count, want)
+	}
 
-	// Truncated binary bodies must not register.
-	bin := binaryReleaseBytes(t, tree)
-	if _, err := api.Registry.Register("trunc", "test", bytes.NewReader(bin[:len(bin)/2])); err == nil {
-		t.Fatal("truncated binary artifact registered")
+	// Truncated binary bodies must not register, in either binary format.
+	for _, bin := range [][]byte{binaryReleaseBytes(t, tree), goldenFile(t, "release_quadtree.bin")} {
+		if _, err := api.Registry.Register("trunc", "test", bytes.NewReader(bin[:len(bin)/2])); err == nil {
+			t.Fatal("truncated binary artifact registered")
+		}
 	}
 }
 
 // TestScanDirBinary pins watch-directory support for *.bin artifacts
-// alongside *.json ones.
+// alongside *.json ones; alpha.bin is the committed v2 golden, so the
+// read-only format keeps loading from a watch directory.
 func TestScanDirBinary(t *testing.T) {
 	dir := t.TempDir()
-	treeA, treeB := buildTree(t, 33), buildTree(t, 34)
-	if err := os.WriteFile(filepath.Join(dir, "alpha.bin"), binaryReleaseBytes(t, treeA), 0o644); err != nil {
+	treeB := buildTree(t, 34)
+	goldJSON, err := psd.OpenSlab(bytes.NewReader(goldenFile(t, "release_quadtree.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "alpha.bin"), goldenFile(t, "release_quadtree.bin"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "beta.json"), releaseBytes(t, treeB), 0o644); err != nil {
@@ -106,8 +141,8 @@ func TestScanDirBinary(t *testing.T) {
 		t.Fatal("alpha.bin not registered under its stem")
 	}
 	q := psd.NewRect(5, 5, 80, 80)
-	if got, _ := alpha.Count(q); got != treeA.Count(q) {
-		t.Fatalf("alpha Count = %v, want %v", got, treeA.Count(q))
+	if got, _ := alpha.Count(q); got != goldJSON.Count(q) {
+		t.Fatalf("alpha Count = %v, want %v", got, goldJSON.Count(q))
 	}
 
 	// Unchanged .bin files are skipped on rescan, like .json ones.

@@ -133,7 +133,7 @@ func TestTruncatedWriteQuarantinedAsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	tree := buildTree(t, 43)
 	var bin bytes.Buffer
-	if err := tree.WriteBinaryRelease(&bin); err != nil {
+	if err := tree.WriteBinaryV3Release(&bin); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "cut.bin")

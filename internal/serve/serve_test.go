@@ -581,7 +581,7 @@ func TestCountBatchIntoMatchesPerQuery(t *testing.T) {
 	tree := buildTree(t, 31)
 	slab := tree.Seal()
 	var artifact bytes.Buffer
-	if err := tree.WriteBinaryRelease(&artifact); err != nil {
+	if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 		t.Fatal(err)
 	}
 	d := tree.Domain()
@@ -674,7 +674,7 @@ func TestDegenerateRectsThroughCache(t *testing.T) {
 		}
 		slab := tree.Seal()
 		var artifact bytes.Buffer
-		if err := tree.WriteBinaryRelease(&artifact); err != nil {
+		if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 			t.Fatal(err)
 		}
 		reg := NewRegistry(1024)

@@ -8,8 +8,9 @@
 // not redistributable here, so RoadNetwork generates a synthetic stand-in
 // with the same cardinality, bounding box and qualitative skew: points are
 // jittered samples along random polylines connecting cluster centers (road
-// corridors between population centers) plus sparse background noise. See
-// DESIGN.md for the substitution rationale.
+// corridors between population centers) plus sparse background noise. The
+// paper's findings depend on the data's skew, not on the exact TIGER
+// geometry, so the stand-in reproduces who wins and by what factor.
 package workload
 
 import (

@@ -118,7 +118,7 @@ func TestReleaseRoundTripPublicAPI(t *testing.T) {
 	if err := tree.WriteRelease(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenRelease(&buf)
+	reopened, err := OpenSlab(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReleaseRoundTripPublicAPI(t *testing.T) {
 	if reopened.Kind() != tree.Kind() {
 		t.Error("kind lost in round trip")
 	}
-	if _, err := OpenRelease(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := OpenSlab(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("junk release should error")
 	}
 }

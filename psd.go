@@ -34,8 +34,8 @@
 // the default options the whole tree satisfies Epsilon-differential privacy
 // under the add/remove-one-tuple neighborhood of the paper.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// The README's Layout section maps the packages; its Benchmarks section
+// covers the reproduction of the paper's evaluation (cmd/psdbench).
 package psd
 
 import (
@@ -272,7 +272,9 @@ type Options struct {
 
 // Tree is a built private spatial decomposition. The private release
 // consists of its region rectangles and noisy counts; Count answers
-// arbitrary rectangular range queries from it.
+// arbitrary rectangular range queries from it. Queries run on the tree's
+// flat serving form (see Slab), materialized once on the first query, so
+// building and writing a release never pay for it.
 type Tree struct {
 	inner *core.PSD
 }
@@ -350,25 +352,25 @@ func Build(points []Point, domain Rect, opts Options) (*Tree, error) {
 // range-query method of Section 4.1. The estimate is unbiased; repeated
 // calls are deterministic (the noise was fixed at build time — queries are
 // post-processing and consume no budget).
-func (t *Tree) Count(q Rect) float64 { return t.inner.Query(q) }
+func (t *Tree) Count(q Rect) float64 { return t.inner.Sealed().Query(q) }
 
 // CountAll answers a batch of range queries with a worker pool (one worker
 // per available core), returning answers in input order. Each answer is
 // exactly what Count would return for that rectangle; batching only
 // amortizes traversal state and spreads independent queries across cores,
 // which is the right shape for serving many queries against one release.
-func (t *Tree) CountAll(qs []Rect) []float64 { return t.inner.CountAll(qs) }
+func (t *Tree) CountAll(qs []Rect) []float64 { return t.inner.Sealed().CountAll(qs) }
 
 // CountBatch answers a batch of range queries with the node-major batch
-// engine: the tree's flat serving form (sealed lazily, once) is traversed
-// one time per batch, classifying every still-active query at each node,
-// instead of walking the tree once per query. Each answer is exactly what
-// Count would return for that rectangle; only the work schedule changes.
-func (t *Tree) CountBatch(qs []Rect) []float64 { return t.inner.CountBatch(qs) }
+// engine: the tree's flat serving form is traversed one time per batch,
+// classifying every still-active query at each node, instead of walking the
+// tree once per query. Each answer is exactly what Count would return for
+// that rectangle; only the work schedule changes.
+func (t *Tree) CountBatch(qs []Rect) []float64 { return t.inner.Sealed().CountBatch(qs) }
 
 // Regions returns the effective leaf regions of the release and their
 // estimated counts — a flat histogram view of the decomposition.
-func (t *Tree) Regions() ([]Rect, []float64) { return t.inner.LeafRegions() }
+func (t *Tree) Regions() ([]Rect, []float64) { return t.inner.Sealed().LeafRegions() }
 
 // PrivacyCost returns the total ε the release consumed (at most the
 // configured Epsilon; equal to it for the standard configurations).
@@ -386,8 +388,7 @@ func (t *Tree) Domain() Rect { return t.inner.Domain() }
 // BuildTime returns how long construction took.
 func (t *Tree) BuildTime() string { return t.inner.Stats().Duration.String() }
 
-// NumRegions returns the number of effective leaf regions.
-func (t *Tree) NumRegions() int {
-	r, _ := t.inner.LeafRegions()
-	return len(r)
-}
+// NumRegions returns the number of effective leaf regions — len of
+// Regions' output — from the count the build tracks, without materializing
+// the regions.
+func (t *Tree) NumRegions() int { return t.inner.NumRegions() }

@@ -183,7 +183,7 @@ func TestPrivTreePublicAPI(t *testing.T) {
 	if err := seq.WriteRelease(&wantJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.WriteBinaryRelease(&wantBin); err != nil {
+	if err := seq.WriteBinaryV3Release(&wantBin); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{0, 2, 8} {
@@ -192,7 +192,7 @@ func TestPrivTreePublicAPI(t *testing.T) {
 		if err := got.WriteRelease(&js); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.WriteBinaryRelease(&bin); err != nil {
+		if err := got.WriteBinaryV3Release(&bin); err != nil {
 			t.Fatal(err)
 		}
 		if js.String() != wantJSON.String() {
@@ -203,9 +203,9 @@ func TestPrivTreePublicAPI(t *testing.T) {
 		}
 	}
 
-	// The reopened artifact answers exactly as the builder's tree, through
-	// both the arena and the slab read path.
-	reopened, err := OpenRelease(strings.NewReader(wantJSON.String()))
+	// The reopened artifact answers exactly as the builder's tree, from
+	// both encodings.
+	reopened, err := OpenSlab(strings.NewReader(wantJSON.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +232,37 @@ func TestPrivTreePublicAPI(t *testing.T) {
 	}
 	if coarse.NumRegions() > seq.NumRegions() {
 		t.Errorf("theta=200 released %d regions, theta=0 %d", coarse.NumRegions(), seq.NumRegions())
+	}
+}
+
+// TestNumRegionsMatchesRegions pins NumRegions to the tracked count: it
+// equals len(Regions()) for pruned, adaptive and single-node trees, and
+// costs no allocation, so a summary line never materializes the regions.
+func TestNumRegionsMatchesRegions(t *testing.T) {
+	domain := NewRect(0, 0, 64, 64)
+	points := clusteredPoints(4000, domain, 31)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"pruned-quadtree", Options{Kind: QuadtreeKind, Height: 5, Epsilon: 1, Seed: 3, PruneThreshold: 40}},
+		{"privtree", Options{Kind: PrivTreeKind, MaxDepth: 6, Epsilon: 0.5, Seed: 4}},
+		{"h0", Options{Kind: QuadtreeKind, Height: 0, Epsilon: 1, Seed: 5}},
+	} {
+		tree, err := Build(points, domain, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		rects, _ := tree.Regions()
+		if got := tree.NumRegions(); got != len(rects) {
+			t.Errorf("%s: NumRegions = %d, len(Regions()) = %d", tc.name, got, len(rects))
+		}
+		if tc.name == "pruned-quadtree" && len(rects) == 1<<(2*5) {
+			t.Errorf("%s: nothing pruned; raise PruneThreshold", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tree.NumRegions() }); allocs != 0 {
+			t.Errorf("%s: NumRegions allocates %.0f times", tc.name, allocs)
+		}
 	}
 }
 

@@ -18,33 +18,25 @@ func (t *Tree) WriteRelease(w io.Writer) error {
 	return err
 }
 
-// WriteBinaryRelease serializes the tree's private release in the binary
-// columnar format v2: the same artifact as WriteRelease, encoded as raw
-// little-endian float64 columns that OpenSlab decodes straight into the
-// serving layout with no per-count allocation. Use it for artifacts a
-// server will (re)load; use JSON where a human or another toolchain reads
-// the release.
-func (t *Tree) WriteBinaryRelease(w io.Writer) error {
-	_, err := t.inner.Release().WriteBinary(w)
-	return err
-}
-
 // WriteBinaryV3Release serializes the tree's private release in the
 // record-major binary format v3 — the same artifact as WriteRelease, laid
 // out so that OpenSlabFile serves it zero-copy via mmap: the node section
 // is exactly the serving slab's packed 40-byte records, 64-byte aligned,
-// with a trailing CRC-64 checksum. Use it for large artifacts that serving
-// replicas open; v2 and JSON remain fully supported.
+// with a trailing CRC-64 checksum. It is the only binary encoding written;
+// use it for artifacts a server will (re)load, and JSON where a human or
+// another toolchain reads the release. Format v2 artifacts written by
+// earlier versions stay readable by OpenSlab and OpenSlabFile.
 func (t *Tree) WriteBinaryV3Release(w io.Writer) error {
 	_, err := t.inner.Release().WriteBinaryV3(w)
 	return err
 }
 
 // OpenSlab reconstructs the flat serving form of a serialized release,
-// accepting either format — versioned JSON (format 1) or binary columnar
-// (format 2), distinguished by the leading magic bytes. This is the path
-// cmd/psdserve loads artifacts through: a binary artifact decodes straight
-// into the slab columns.
+// accepting every format — versioned JSON (format 1), the read-only binary
+// columnar format v2, or the record-major format v3 — distinguished by the
+// leading magic bytes. A binary artifact decodes straight into the slab
+// columns. The result answers Count and Regions exactly as the tree that
+// wrote the release did; it needs no access to the original data.
 func OpenSlab(r io.Reader) (*Slab, error) {
 	inner, err := openSlab(r)
 	if err != nil {
@@ -96,33 +88,4 @@ func openSlab(r io.Reader) (*core.Slab, error) {
 	// Anything else (including too-short input) goes to the JSON reader,
 	// which reports the parse error.
 	return core.ReadSlab(br)
-}
-
-// OpenRelease reconstructs a query-only Tree from a serialized release in
-// either format (see OpenSlab). The result answers Count and Regions
-// exactly as the original tree did; it requires no access to the original
-// data. Servers should prefer OpenSlab, whose flat layout is cheaper to
-// load and query.
-func OpenRelease(r io.Reader) (*Tree, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(4); err == nil && core.SniffBinary(prefix) {
-		slab, err := core.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		p, err := core.OpenRelease(slab.Release())
-		if err != nil {
-			return nil, err
-		}
-		return &Tree{inner: p}, nil
-	}
-	rel, err := core.ReadRelease(br)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.OpenRelease(rel)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{inner: p}, nil
 }

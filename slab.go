@@ -21,8 +21,9 @@ type Slab struct {
 	inner *core.Slab
 }
 
-// Seal materializes the flat read path of a built tree. The tree remains
-// usable; the slab is what a server should hold onto.
+// Seal materializes the flat read path of a built tree as a new slab the
+// caller owns (Close releases it without affecting the tree). The tree
+// remains usable; the slab is what a server should hold onto.
 func (t *Tree) Seal() *Slab { return &Slab{inner: t.inner.Seal()} }
 
 // Count estimates the number of data points inside q, exactly as
@@ -113,14 +114,6 @@ func (s *Slab) Domain() Rect { return s.inner.Domain() }
 // byte-identical to what the originating tree would write.
 func (s *Slab) WriteRelease(w io.Writer) error {
 	_, err := s.inner.Release().WriteTo(w)
-	return err
-}
-
-// WriteBinaryRelease serializes the slab's release in the binary columnar
-// format v2 — the compact encoding OpenSlab decodes with no per-count
-// allocation. See the README's "Release format v2" section for the layout.
-func (s *Slab) WriteBinaryRelease(w io.Writer) error {
-	_, err := s.inner.WriteBinary(w)
 	return err
 }
 
