@@ -46,17 +46,15 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"psd"
+	"psd/internal/daemon"
 	"psd/internal/ingest"
 	"psd/internal/promtext"
 )
@@ -181,63 +179,18 @@ func run(args []string, logger *log.Logger) error {
 		st.Name, st.Points, st.LatestVersion, st.Spent, st.Budget)
 
 	srv := newServer(in, logger)
-	httpSrv := &http.Server{Handler: srv.handler(), ReadHeaderTimeout: 10 * time.Second}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("bind %s: %w", *addr, err)
-	}
-	srv.ready.Store(true)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The publisher goroutine serializes every non-manual publish: the
-	// ingest handler nudges it on the count cadence, the ticker drives the
-	// time cadence. Refusals (no trigger yet, nothing new) are the steady
-	// state and stay quiet; real failures wedge the pipeline and are loud.
-	go func() {
-		var tick <-chan time.Time
-		if *interval > 0 {
-			t := time.NewTicker(*interval)
-			defer t.Stop()
-			tick = t.C
-		}
-		for {
-			var trig ingest.Trigger
-			select {
-			case <-ctx.Done():
-				return
-			case trig = <-srv.publishCh:
-			case <-tick:
-				trig = ingest.TriggerInterval
-			}
-			if _, err := in.Publish(trig); err != nil &&
-				!errors.Is(err, ingest.ErrNoTrigger) && !errors.Is(err, ingest.ErrNoNewPoints) {
-				logger.Printf("publish: %v", err)
-			}
-		}
-	}()
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s", ln.Addr())
-		errc <- httpSrv.Serve(ln)
-	}()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	stop()
-
-	srv.ready.Store(false)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	logger.Print("bye")
-	return nil
+	// The publisher is a daemon worker: Run joins it before returning, so
+	// the deferred Close never races a cadence publish.
+	return daemon.Run(context.Background(), daemon.Config{
+		Addr:            *addr,
+		Handler:         srv.handler(),
+		SetReady:        srv.ready.Store,
+		ShutdownTimeout: *shutdownTimeout,
+		Workers: []func(context.Context){
+			func(ctx context.Context) { srv.publishLoop(ctx, *interval) },
+		},
+		Logger: logger,
+	})
 }
 
 // runVerify is the audit subcommand: replay the on-disk state (completing
@@ -314,14 +267,36 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// publishLoop serializes every non-manual publish until ctx ends: the
+// ingest handler nudges it on the count cadence, the ticker drives the
+// time cadence. Refusals (no trigger yet, nothing new) are the steady
+// state and stay quiet; real failures wedge the pipeline and are loud.
+func (s *server) publishLoop(ctx context.Context, interval time.Duration) {
+	var tick <-chan time.Time
+	if interval > 0 {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		var trig ingest.Trigger
+		select {
+		case <-ctx.Done():
+			return
+		case trig = <-s.publishCh:
+		case <-tick:
+			trig = ingest.TriggerInterval
+		}
+		// select picks among ready cases at random: a nudge queued before
+		// shutdown must not start a build after it.
+		if ctx.Err() != nil {
+			return
+		}
+		if _, err := s.in.Publish(trig); err != nil &&
+			!errors.Is(err, ingest.ErrNoTrigger) && !errors.Is(err, ingest.ErrNoNewPoints) {
+			s.logger.Printf("publish: %v", err)
+		}
+	}
 }
 
 // maxIngestBody bounds one ingest request (~2M points as JSON).
@@ -335,15 +310,15 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 				"ingest body exceeds the %d-byte limit", int64(maxIngestBody))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad ingest body: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "bad ingest body: %v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "no points")
+		daemon.WriteError(w, http.StatusBadRequest, "no points")
 		return
 	}
 	pts := make([]psd.Point, len(req.Points))
@@ -358,11 +333,11 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ingest.ErrBadPoint) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, "%v", err)
+		daemon.WriteError(w, status, "%v", err)
 		return
 	}
 	// The 200 IS the durability acknowledgment: the points are fsync'd.
-	writeJSON(w, http.StatusOK, map[string]any{"added": len(pts), "total": total})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"added": len(pts), "total": total})
 	// Nudge the count cadence; a full channel means a publish check is
 	// already queued, which covers this batch too.
 	select {
@@ -375,33 +350,28 @@ func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	res, err := s.in.Publish(ingest.TriggerManual)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
 			"version": res.Version, "points": res.Points, "bytes": res.Bytes,
 			"crc64": res.CRC64, "path": res.Path, "eps": res.Eps,
 		})
 	case errors.Is(err, ingest.ErrNoNewPoints) || errors.Is(err, ingest.ErrNoTrigger):
-		writeError(w, http.StatusConflict, "%v", err)
+		daemon.WriteError(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, ingest.ErrBudgetExhausted):
-		writeError(w, http.StatusForbidden, "%v", err)
+		daemon.WriteError(w, http.StatusForbidden, "%v", err)
 	default:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		daemon.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	}
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.in.Stats())
+	daemon.WriteJSON(w, http.StatusOK, s.in.Stats())
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.in.Stats()
-	bool01 := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	var buf strings.Builder
-	pw := promtext.NewWriter(&buf)
+	daemon.WriteMetrics(w, func(pw *promtext.Writer) { renderMetrics(pw, s.in.Stats()) })
+}
+
+func renderMetrics(pw *promtext.Writer, st ingest.Stats) {
 	for _, m := range []struct {
 		name, typ, help string
 		v               float64
@@ -410,36 +380,30 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"psdingest_pending_points", "gauge", "Points not yet covered by a published version.", float64(st.PendingPoints)},
 		{"psdingest_wal_segments", "gauge", "WAL segment files.", float64(st.WALSegments)},
 		{"psdingest_wal_bytes", "gauge", "WAL bytes on disk.", float64(st.WALBytes)},
-		{"psdingest_wal_broken", "gauge", "1 when the WAL is in the sticky broken state (restart to recover).", bool01(st.WALBroken)},
+		{"psdingest_wal_broken", "gauge", "1 when the WAL is in the sticky broken state (restart to recover).", promtext.Bool(st.WALBroken)},
 		{"psdingest_budget_epsilon", "gauge", "Total per-name privacy budget (0 = unlimited).", st.Budget},
 		{"psdingest_budget_spent_epsilon", "gauge", "Privacy budget charged so far.", st.Spent},
-		{"psdingest_budget_exhausted", "gauge", "1 when the next epoch cannot be funded: publishing refuses, ingest and serving continue.", bool01(st.BudgetExhausted)},
+		{"psdingest_budget_exhausted", "gauge", "1 when the next epoch cannot be funded: publishing refuses, ingest and serving continue.", promtext.Bool(st.BudgetExhausted)},
 		{"psdingest_latest_version", "gauge", "Latest published version number.", float64(st.LatestVersion)},
 		{"psdingest_published_total", "counter", "Versions published (including recovered ones).", float64(st.Published)},
 		{"psdingest_recovered_total", "counter", "Publications rolled forward by crash recovery.", float64(st.Recovered)},
 		{"psdingest_refused_total", "counter", "Publishes refused for budget exhaustion.", float64(st.Refused)},
 		{"psdingest_ingest_errors_total", "counter", "Failed (unacknowledged) ingest appends.", float64(st.IngestErrors)},
-		{"psdingest_wedged", "gauge", "1 when the publish pipeline is wedged by a mid-cycle failure (restart to recover).", bool01(st.Wedged != "")},
+		{"psdingest_wedged", "gauge", "1 when the publish pipeline is wedged by a mid-cycle failure (restart to recover).", promtext.Bool(st.Wedged != "")},
 	} {
 		pw.Family(m.name, m.typ, m.help)
 		pw.Sample(m.name, nil, m.v)
 	}
-	if pw.Err() != nil {
-		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", pw.Err())
-		return
-	}
-	w.Header().Set("Content-Type", promtext.ContentType)
-	fmt.Fprint(w, buf.String())
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "unready"})
+		daemon.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "unready"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"psd"
 	"psd/internal/ingest"
@@ -168,6 +170,31 @@ func TestDaemonBudgetExhaustion(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestPublishLoopStopsOnCancel pins the shutdown side of the publisher:
+// once its context ends, a nudge still queued must not start a publish
+// cycle — the daemon closes the ingester as soon as the loop returns.
+func TestPublishLoopStopsOnCancel(t *testing.T) {
+	state, publish := testDirs(t)
+	cfg := testConfig(t, state, publish, 10)
+	cfg.RebuildCount = 1
+	in, err := ingest.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { in.Close() })
+	if _, err := in.Ingest(walPoints(10)); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(in, cfg.Logger)
+	srv.publishCh <- ingest.TriggerCount
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	srv.publishLoop(ctx, time.Millisecond)
+	if st := in.Stats(); st.Published != 0 {
+		t.Fatalf("publish loop published %d version(s) after its context ended", st.Published)
 	}
 }
 

@@ -26,8 +26,7 @@
 //
 // Mutating individual replicas through the proxy is refused (405):
 // fleet state changes go through manifest rollouts so replicas never
-// diverge. Like psdserve, the proxy drains gracefully on SIGINT/SIGTERM
-// (readiness flips first, then the listener closes).
+// diverge. SIGINT/SIGTERM drains gracefully (internal/daemon).
 package main
 
 import (
@@ -36,14 +35,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"psd/internal/cluster"
+	"psd/internal/daemon"
 )
 
 // multiFlag accumulates repeated -backend flags.
@@ -118,49 +114,14 @@ func run(args []string, logger *log.Logger) error {
 		Logger:    logger,
 	}
 
-	srv := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	// Bind before declaring readiness, like psdserve.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("bind %s: %w", *addr, err)
-	}
-	p.SetReady(true)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	healthCtx, healthStop := context.WithCancel(context.Background())
-	defer healthStop()
-	go health.Run(healthCtx)
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s, %d backend(s): %v",
-			ln.Addr(), len(p.BackendList()), p.Ring().Members())
-		errc <- srv.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	stop()
-
-	p.SetReady(false)
-	logger.Printf("draining: /readyz now 503 (delay %s, grace %s)", *drainDelay, *shutdownTimeout)
-	if *drainDelay > 0 {
-		time.Sleep(*drainDelay)
-	}
-	healthStop()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	logger.Print("bye")
-	return nil
+	logger.Printf("routing to %d backend(s): %v", len(p.BackendList()), p.Ring().Members())
+	return daemon.Run(context.Background(), daemon.Config{
+		Addr:            *addr,
+		Handler:         p.Handler(),
+		SetReady:        p.SetReady,
+		DrainDelay:      *drainDelay,
+		ShutdownTimeout: *shutdownTimeout,
+		Workers:         []func(context.Context){health.Run},
+		Logger:          logger,
+	})
 }

@@ -30,10 +30,9 @@
 //	GET    /v1/releases/{name}/stats     query counts, cache hit rate, latency
 //	POST   /v1/reload                    rescan -dir (changed files only)
 //
-// The server drains gracefully on SIGINT/SIGTERM: /readyz flips to 503
-// first (so load balancers stop routing new work), then after -drain-delay
-// the listener closes and in-flight requests finish (up to
-// -shutdown-timeout) before the process exits 0.
+// SIGINT/SIGTERM drains gracefully (internal/daemon): /readyz goes 503,
+// then after -drain-delay the listener closes and in-flight requests get
+// -shutdown-timeout to finish.
 package main
 
 import (
@@ -42,14 +41,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"psd/internal/daemon"
 	"psd/internal/serve"
 )
 
@@ -137,48 +133,12 @@ func run(args []string, logger *log.Logger) error {
 		RequestTimeout: *requestTimeout,
 		Logger:         logger,
 	}
-	srv := &http.Server{
-		Handler:           api.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	// Bind before declaring readiness: a replica that cannot listen must
-	// exit non-zero, not report ready to a balancer.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("bind %s: %w", *addr, err)
-	}
-	api.SetReady(true)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s (%d releases)", ln.Addr(), reg.Len())
-		errc <- srv.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	stop()
-
-	// Drain: readiness flips BEFORE the listener closes, so the balancer
-	// routes away while this replica still accepts (and finishes) work;
-	// only after the drain delay does Shutdown stop accepting and wait out
-	// the in-flight requests.
-	api.SetReady(false)
-	logger.Printf("draining: /readyz now 503 (delay %s, grace %s)", *drainDelay, *shutdownTimeout)
-	if *drainDelay > 0 {
-		time.Sleep(*drainDelay)
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	logger.Print("bye")
-	return nil
+	return daemon.Run(context.Background(), daemon.Config{
+		Addr:            *addr,
+		Handler:         api.Handler(),
+		SetReady:        api.SetReady,
+		DrainDelay:      *drainDelay,
+		ShutdownTimeout: *shutdownTimeout,
+		Logger:          logger,
+	})
 }

@@ -2,18 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand/v2"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"psd/internal/daemon"
 )
 
 // Proxy is the fleet front-end behind cmd/psdproxy: it routes
@@ -124,7 +124,7 @@ func (p *Proxy) BackendList() []*Backend { return p.ordered }
 // Ring exposes the routing ring (rollout ordering, tests).
 func (p *Proxy) Ring() *Ring { return p.ring }
 
-// SetReady flips the proxy's readiness gate (drain handling in main).
+// SetReady flips the proxy's readiness gate (internal/daemon drives it).
 func (p *Proxy) SetReady(ready bool) { p.ready.Store(ready) }
 
 func (p *Proxy) retriesN() int {
@@ -190,19 +190,6 @@ func (p *Proxy) drawJitter(d time.Duration) time.Duration {
 	return time.Duration(rand.Int64N(int64(d) + 1))
 }
 
-// retryAfter formats the proxy-originated Retry-After in whole seconds.
-func (p *Proxy) retryAfter() string {
-	d := p.RetryAfter
-	if d <= 0 {
-		d = DefaultProxyRetryAfter
-	}
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
 // Handler returns the proxy's routed HTTP handler:
 //
 //	GET  /healthz          proxy liveness
@@ -230,18 +217,8 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"backends": len(p.ordered),
 		"uptime":   time.Since(p.started).Round(time.Millisecond).String(),
@@ -268,7 +245,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !p.ready.Load() || routable == 0 {
 		status, state = http.StatusServiceUnavailable, "unready"
 	}
-	writeJSON(w, status, map[string]any{
+	daemon.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"routable": routable,
 		"backends": len(p.ordered),
@@ -323,7 +300,7 @@ func breakerFailure(code int) bool {
 // handleProxy is the routed query path.
 func (p *Proxy) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if !proxiable(r) {
-		writeError(w, http.StatusMethodNotAllowed,
+		daemon.WriteError(w, http.StatusMethodNotAllowed,
 			"%s %s: fleet state is manifest-driven; roll out releases via POST /v1/rollout",
 			r.Method, r.URL.Path)
 		return
@@ -336,11 +313,11 @@ func (p *Proxy) handleProxy(w http.ResponseWriter, r *http.Request) {
 		var err error
 		reqBody, err = io.ReadAll(io.LimitReader(r.Body, p.maxBody()+1))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+			daemon.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 			return
 		}
 		if int64(len(reqBody)) > p.maxBody() {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte limit", p.maxBody())
 			return
 		}
@@ -429,8 +406,8 @@ func (p *Proxy) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.noReplica.Add(1)
-	w.Header().Set("Retry-After", p.retryAfter())
-	writeError(w, http.StatusServiceUnavailable, "no ready replica for %q", key)
+	w.Header().Set("Retry-After", daemon.RetryAfter(cmp.Or(p.RetryAfter, DefaultProxyRetryAfter)))
+	daemon.WriteError(w, http.StatusServiceUnavailable, "no ready replica for %q", key)
 }
 
 // attempt issues one buffered round trip to backend b.

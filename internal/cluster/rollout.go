@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"psd/internal/daemon"
 	"psd/internal/serve"
 )
 
@@ -95,11 +96,11 @@ func (p *Proxy) handleRollout(w http.ResponseWriter, r *http.Request) {
 	var req RolloutRequest
 	body := http.MaxBytesReader(w, r.Body, p.maxBody())
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad rollout body: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "bad rollout body: %v", err)
 		return
 	}
 	if err := req.Manifest.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid manifest: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "invalid manifest: %v", err)
 		return
 	}
 	switch req.Canary {
@@ -107,7 +108,7 @@ func (p *Proxy) handleRollout(w http.ResponseWriter, r *http.Request) {
 		req.Canary = CanaryBitCompare
 	case CanaryBitCompare, CanaryOK:
 	default:
-		writeError(w, http.StatusBadRequest, "unknown canary mode %q (want %q or %q)",
+		daemon.WriteError(w, http.StatusBadRequest, "unknown canary mode %q (want %q or %q)",
 			req.Canary, CanaryBitCompare, CanaryOK)
 		return
 	}
@@ -116,7 +117,7 @@ func (p *Proxy) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if !res.OK {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, res)
+	daemon.WriteJSON(w, status, res)
 }
 
 // rollout runs the coordinator. It never leaves the fleet split on

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"net/http"
 	"time"
 
+	"psd/internal/daemon"
 	"psd/internal/promtext"
 )
 
@@ -75,7 +75,7 @@ func (p *Proxy) Stats() ProxyStats {
 }
 
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.Stats())
+	daemon.WriteJSON(w, http.StatusOK, p.Stats())
 }
 
 func (p *Proxy) handleBackends(w http.ResponseWriter, r *http.Request) {
@@ -83,14 +83,7 @@ func (p *Proxy) handleBackends(w http.ResponseWriter, r *http.Request) {
 	for _, b := range p.ordered {
 		infos = append(infos, infoOf(b))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"backends": infos})
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"backends": infos})
 }
 
 // healthGauge encodes a health state for the psdproxy_backend_state
@@ -120,12 +113,14 @@ func breakerGauge(s BreakerState) float64 {
 // handleMetrics is the proxy's Prometheus exposition: fleet counters
 // plus per-backend health, breaker, and traffic gauges.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	pw := promtext.NewWriter(&buf)
+	daemon.WriteMetrics(w, p.renderMetrics)
+}
+
+func (p *Proxy) renderMetrics(pw *promtext.Writer) {
 	st := p.Stats()
 
 	pw.Family("psdproxy_ready", "gauge", "1 when the proxy reports ready, 0 while draining or with no routable backend.")
-	pw.Sample("psdproxy_ready", nil, boolGauge(st.Ready))
+	pw.Sample("psdproxy_ready", nil, promtext.Bool(st.Ready))
 	pw.Family("psdproxy_backends", "gauge", "Configured backend count.")
 	pw.Sample("psdproxy_backends", nil, float64(len(st.Backends)))
 	pw.Family("psdproxy_backends_routable", "gauge", "Backends not marked down by the health checker.")
@@ -155,7 +150,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"psdproxy_backend_state", "gauge", "Health state: 2 healthy, 1 suspect, 0 down.",
 			func(b *Backend) float64 { return healthGauge(b.State()) }},
 		{"psdproxy_backend_up", "gauge", "1 when the backend is routable (not down).",
-			func(b *Backend) float64 { return boolGauge(b.State() != Down) }},
+			func(b *Backend) float64 { return promtext.Bool(b.State() != Down) }},
 		{"psdproxy_backend_breaker_state", "gauge", "Breaker: 0 closed, 1 half-open, 2 open.",
 			func(b *Backend) float64 { return breakerGauge(b.Breaker.State()) }},
 		{"psdproxy_backend_breaker_trips_total", "counter", "Times the backend's breaker opened.",
@@ -175,10 +170,4 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			pw.Sample(fam.name, label(b), fam.value(b))
 		}
 	}
-	if pw.Err() != nil {
-		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", pw.Err())
-		return
-	}
-	w.Header().Set("Content-Type", promtext.ContentType)
-	w.Write(buf.Bytes())
 }

@@ -475,8 +475,12 @@ func (in *Ingester) Stats() Stats {
 }
 
 // Close releases every file handle. It does NOT flush anything — there is
-// nothing to flush; every acknowledged byte is already durable.
+// nothing to flush; every acknowledged byte is already durable. A publish
+// cycle in flight finishes first: Close takes pubMu before mu, the order
+// Publish takes them in.
 func (in *Ingester) Close() error {
+	in.pubMu.Lock()
+	defer in.pubMu.Unlock()
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var first error

@@ -429,6 +429,46 @@ func TestIngesterIngestDuringPublish(t *testing.T) {
 	}
 }
 
+// TestIngesterCloseWaitsForPublish pins Close against a publish cycle in
+// flight: Close must wait for the cycle to finish rather than close the
+// journal and ledger under it, which left the cycle's last steps
+// dereferencing nil handles.
+func TestIngesterCloseWaitsForPublish(t *testing.T) {
+	in, err := Open(testConfig(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, in, testPoints(100, 0.1))
+	held, release := make(chan struct{}), make(chan struct{})
+	in.failpoint = func(s string) error {
+		if s == "build" {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	published := make(chan error, 1)
+	go func() {
+		_, err := in.Publish(TriggerManual)
+		published <- err
+	}()
+	<-held
+	closed := make(chan error, 1)
+	go func() { closed <- in.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while the publish cycle was held at its build step", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-published; err != nil {
+		t.Fatalf("publish across Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestIngesterUnlimitedBudget pins the daemon's default configuration: a
 // non-positive budget means unlimited — publishing is never refused for
 // budget reasons (the old behavior read 0 as "no spending permitted", so a

@@ -1,7 +1,7 @@
 // Package promtext writes the Prometheus text exposition format
 // (version 0.0.4) with no external dependencies: just enough for
-// psdserve and psdproxy to expose their existing counters as scrapeable
-// GET /metrics endpoints. Only the subset the servers need is
+// psdserve, psdproxy and psdingest to expose their existing counters as
+// scrapeable GET /metrics endpoints. Only the subset the daemons need is
 // implemented — counter and gauge families with optional labels.
 package promtext
 
@@ -65,6 +65,14 @@ func (p *Writer) Sample(name string, labels []Label, v float64) {
 		sb.WriteByte('"')
 	}
 	p.printf("%s{%s} %s\n", name, sb.String(), formatValue(v))
+}
+
+// Bool is the gauge value of a flag: 1 for true, 0 for false.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // formatValue renders v the way Prometheus parsers expect: shortest

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"psd"
+	"psd/internal/daemon"
 )
 
 // API builds the HTTP handler of psdserve. All mutable state is atomic
@@ -118,17 +119,6 @@ func (a *API) maxBatch() int {
 	return DefaultMaxBatch
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status line is gone; nothing sane to do on error
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // release resolves the {name} path segment — a bare name (served at its
 // pinned or latest version when versioned artifacts exist), an explicit
 // "name@vN", or a bare name plus ?version=vN time travel — writing a 404
@@ -143,14 +133,14 @@ func (a *API) release(w http.ResponseWriter, r *http.Request) (*Release, bool) {
 			strings.Contains(err.Error(), "already carries a version")) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, "%v", err)
+		daemon.WriteError(w, status, "%v", err)
 		return nil, false
 	}
 	return rel, true
 }
 
 func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"releases": a.Registry.Len(),
 		"uptime":   time.Since(a.started).Round(time.Millisecond).String(),
@@ -191,7 +181,7 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, rel := range rels {
 		infos[i] = infoOf(rel)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"releases":    infos,
 		"quarantined": a.Registry.Quarantined(),
 	})
@@ -203,14 +193,14 @@ func (a *API) handleRegister(w http.ResponseWriter, r *http.Request) {
 	rel, err := a.Registry.Register(name, "api", body)
 	if err != nil {
 		if tooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 				"register %q: artifact exceeds the %d-byte body limit", name, a.maxBody())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "register %q: %v", name, err)
+		daemon.WriteError(w, http.StatusBadRequest, "register %q: %v", name, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, infoOf(rel))
+	daemon.WriteJSON(w, http.StatusCreated, infoOf(rel))
 }
 
 // tooLarge recognizes http.MaxBytesReader's failure inside a decode or
@@ -225,7 +215,7 @@ func tooLarge(err error) bool {
 func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !a.Registry.Remove(name) {
-		writeError(w, http.StatusNotFound, "no release %q", name)
+		daemon.WriteError(w, http.StatusNotFound, "no release %q", name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -275,12 +265,12 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := r.URL.Query().Get("rect")
 	if spec == "" {
-		writeError(w, http.StatusBadRequest, "missing ?rect=lox,loy,hix,hiy")
+		daemon.WriteError(w, http.StatusBadRequest, "missing ?rect=lox,loy,hix,hiy")
 		return
 	}
 	q, err := parseRect(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad rect: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "bad rect: %v", err)
 		return
 	}
 	val, cached, err := rel.CountCtx(r.Context(), q)
@@ -288,7 +278,7 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 		a.countErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"release": rel.Name,
 		"rect":    [4]float64{q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y},
 		"count":   val,
@@ -312,15 +302,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// An over--max-body request surfaces as a decode error; report it as
 		// 413 like the over-MaxBatch path below, not as a malformed body.
 		if tooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 				"batch body exceeds the %d-byte limit", a.maxBody())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
 	if len(req.Rects) > a.maxBatch() {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 			"batch of %d exceeds limit %d", len(req.Rects), a.maxBatch())
 		return
 	}
@@ -328,7 +318,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, v := range req.Rects {
 		q, err := rectFrom(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "rect %d: %v", i, err)
+			daemon.WriteError(w, http.StatusBadRequest, "rect %d: %v", i, err)
 			return
 		}
 		qs[i] = q
@@ -344,7 +334,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		a.countErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"release":    rel.Name,
 		"counts":     vals,
 		"cache_hits": hits,
@@ -362,7 +352,7 @@ func (a *API) handleRegions(w http.ResponseWriter, r *http.Request) {
 	for i, rc := range rects {
 		flat[i] = [4]float64{rc.Lo.X, rc.Lo.Y, rc.Hi.X, rc.Hi.Y}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"release": rel.Name,
 		"rects":   flat,
 		"counts":  counts,
@@ -374,7 +364,7 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"release": rel.Name,
 		"stats":   rel.Stats(),
 	})
@@ -386,10 +376,10 @@ func (a *API) handleVersions(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	versions := a.Registry.Versions(name)
 	if len(versions) == 0 {
-		writeError(w, http.StatusNotFound, "no versioned releases for %q", name)
+		daemon.WriteError(w, http.StatusNotFound, "no versioned releases for %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "versions": versions})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "versions": versions})
 }
 
 // handlePromote pins a base name to ?version=N (or vN); ?version=0 or
@@ -398,7 +388,7 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	spec := r.URL.Query().Get("version")
 	if spec == "" {
-		writeError(w, http.StatusBadRequest, "missing ?version=N (0 or \"latest\" to unpin)")
+		daemon.WriteError(w, http.StatusBadRequest, "missing ?version=N (0 or \"latest\" to unpin)")
 		return
 	}
 	v := 0
@@ -407,14 +397,14 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if v, ok = parseVersionSuffix(spec); !ok {
 			n, err := strconv.Atoi(spec)
 			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "bad version %q (want N, vN, 0, or \"latest\")", spec)
+				daemon.WriteError(w, http.StatusBadRequest, "bad version %q (want N, vN, 0, or \"latest\")", spec)
 				return
 			}
 			v = n
 		}
 	}
 	if err := a.Registry.Promote(name, v); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		daemon.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if v == 0 {
@@ -422,7 +412,7 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 	} else {
 		a.logf("serve: promoted %q to v%d", name, v)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "versions": a.Registry.Versions(name)})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "versions": a.Registry.Versions(name)})
 }
 
 // handleManifestGet reports the last applied rollout manifest; 404 until
@@ -430,10 +420,10 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleManifestGet(w http.ResponseWriter, r *http.Request) {
 	st, ok := a.Registry.CurrentManifest()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no manifest applied")
+		daemon.WriteError(w, http.StatusNotFound, "no manifest applied")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	daemon.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleManifestApply pulls, verifies, and atomically installs a rollout
@@ -445,25 +435,25 @@ func (a *API) handleManifestApply(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, a.maxBody())
 	if err := json.NewDecoder(body).Decode(&m); err != nil {
 		if tooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			daemon.WriteError(w, http.StatusRequestEntityTooLarge,
 				"manifest exceeds the %d-byte body limit", a.maxBody())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad manifest body: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "bad manifest body: %v", err)
 		return
 	}
 	if err := a.Registry.ApplyManifest(m); err != nil {
-		writeError(w, http.StatusBadRequest, "apply manifest: %v", err)
+		daemon.WriteError(w, http.StatusBadRequest, "apply manifest: %v", err)
 		return
 	}
 	a.logf("serve: applied manifest %q (%d releases)", m.Version, len(m.Releases))
 	st, _ := a.Registry.CurrentManifest()
-	writeJSON(w, http.StatusOK, st)
+	daemon.WriteJSON(w, http.StatusOK, st)
 }
 
 func (a *API) handleReload(w http.ResponseWriter, r *http.Request) {
 	if a.WatchDir == "" {
-		writeError(w, http.StatusBadRequest, "no watch directory configured (-dir)")
+		daemon.WriteError(w, http.StatusBadRequest, "no watch directory configured (-dir)")
 		return
 	}
 	loaded, skipped, err := a.Registry.ScanDir(a.WatchDir)
@@ -474,8 +464,8 @@ func (a *API) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		resp["error"] = err.Error()
-		writeJSON(w, http.StatusInternalServerError, resp)
+		daemon.WriteJSON(w, http.StatusInternalServerError, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	daemon.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"log"
-	"math"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
+
+	"psd/internal/daemon"
 )
 
 // Request-lifecycle hardening: the middleware and probe endpoints that keep
@@ -78,7 +79,7 @@ func (a *API) serverStats() ServerStats {
 }
 
 func (a *API) handleServerStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.serverStats())
+	daemon.WriteJSON(w, http.StatusOK, a.serverStats())
 }
 
 // handleReadyz is the readiness probe: 503 until the initial releases are
@@ -91,7 +92,7 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "unready"
 	}
-	writeJSON(w, status, map[string]any{
+	daemon.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"releases": a.Registry.Len(),
 	})
@@ -103,20 +104,6 @@ func (a *API) logf(format string, args ...any) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-// retryAfter formats the Retry-After header value in whole seconds
-// (minimum 1 — zero would tell clients to hammer).
-func (a *API) retryAfter() string {
-	d := a.RetryAfter
-	if d <= 0 {
-		d = DefaultRetryAfter
-	}
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // statusWriter remembers whether a response was started, so the panic
@@ -155,7 +142,7 @@ func (a *API) recoverPanics(next http.Handler) http.Handler {
 			a.panics.Add(1)
 			a.logf("serve: panic in %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 			if !sw.wrote {
-				writeError(sw, http.StatusInternalServerError, "internal error")
+				daemon.WriteError(sw, http.StatusInternalServerError, "internal error")
 			}
 		}()
 		next.ServeHTTP(sw, r)
@@ -175,8 +162,8 @@ func (a *API) shed(next http.Handler) http.Handler {
 		defer a.inflight.Add(-1)
 		if limit := a.MaxInFlight; limit > 0 && n > int64(limit) {
 			a.sheds.Add(1)
-			w.Header().Set("Retry-After", a.retryAfter())
-			writeError(w, http.StatusServiceUnavailable,
+			w.Header().Set("Retry-After", daemon.RetryAfter(cmp.Or(a.RetryAfter, DefaultRetryAfter)))
+			daemon.WriteError(w, http.StatusServiceUnavailable,
 				"server at capacity (%d requests in flight)", limit)
 			return
 		}
@@ -195,10 +182,10 @@ func (a *API) shed(next http.Handler) http.Handler {
 func (a *API) countErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		a.timeouts.Add(1)
-		w.Header().Set("Retry-After", a.retryAfter())
-		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded")
+		w.Header().Set("Retry-After", daemon.RetryAfter(cmp.Or(a.RetryAfter, DefaultRetryAfter)))
+		daemon.WriteError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 		return
 	}
 	// Client cancellation: nobody is listening, but complete the exchange.
-	writeError(w, http.StatusServiceUnavailable, "request cancelled")
+	daemon.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
 }

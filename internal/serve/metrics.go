@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"net/http"
 
+	"psd/internal/daemon"
 	"psd/internal/promtext"
 )
 
@@ -12,20 +12,15 @@ import (
 // watch the fleet without bespoke JSON glue. No external dependencies —
 // the exposition writer is internal/promtext.
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	daemon.WriteMetrics(w, a.renderMetrics)
 }
 
-func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	pw := promtext.NewWriter(&buf)
+func (a *API) renderMetrics(pw *promtext.Writer) {
 	st := a.serverStats()
 
 	pw.Family("psdserve_ready", "gauge", "1 when the replica reports ready, 0 while loading or draining.")
-	pw.Sample("psdserve_ready", nil, boolGauge(st.Ready))
+	pw.Sample("psdserve_ready", nil, promtext.Bool(st.Ready))
 	pw.Family("psdserve_releases", "gauge", "Number of releases currently served.")
 	pw.Sample("psdserve_releases", nil, float64(st.Releases))
 	pw.Family("psdserve_quarantined", "gauge", "Number of quarantined watch-dir artifacts.")
@@ -108,10 +103,4 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			pw.Sample(fam.name, relLabel(rel.Name), fam.value(snaps[i]))
 		}
 	}
-	if pw.Err() != nil {
-		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", pw.Err())
-		return
-	}
-	w.Header().Set("Content-Type", promtext.ContentType)
-	w.Write(buf.Bytes())
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"net"
 	"net/http"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"psd"
+	"psd/internal/daemon"
 )
 
 // testPoints generates n deterministic points over [0,100)² via splitmix64
@@ -792,10 +795,11 @@ func TestBatchEndpointStats(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain pins the drain sequence a rolling restart relies on:
-// readiness flips to 503 while the listener still serves (the grace window
-// for load balancers to route away), an in-flight batch completes across
-// Shutdown, and new connections are refused once the listener closes.
+// TestGracefulDrain pins the drain sequence a rolling restart relies on,
+// run by the daemon lifecycle over the real API: readiness flips to 503
+// while the listener still serves (the grace window for load balancers to
+// route away), an in-flight batch completes across Shutdown, and new
+// connections are refused once the listener closes.
 func TestGracefulDrain(t *testing.T) {
 	tree := buildTree(t, 31)
 	reg := NewRegistry(0)
@@ -810,16 +814,36 @@ func TestGracefulDrain(t *testing.T) {
 		close(entered)
 		<-unpark
 	}
-	api.SetReady(true)
+	// Hold the lifecycle in its grace window: readiness is down, the
+	// listener still open.
+	draining, hold := make(chan struct{}), make(chan struct{})
+	setReady := func(ready bool) {
+		api.SetReady(ready)
+		if !ready {
+			close(draining)
+			<-hold
+		}
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: api.Handler()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
+	go func() {
+		served <- daemon.Serve(ctx, ln, daemon.Config{
+			Handler:         api.Handler(),
+			SetReady:        setReady,
+			ShutdownTimeout: 10 * time.Second,
+			Logger:          log.New(io.Discard, "", 0),
+		})
+	}()
 	base := "http://" + ln.Addr().String()
+	for !api.Ready() {
+		time.Sleep(time.Millisecond)
+	}
 
 	// Park one /batch in flight.
 	rect := tree.Domain()
@@ -848,17 +872,13 @@ func TestGracefulDrain(t *testing.T) {
 	<-entered
 
 	// Grace window: readiness is down, but the replica still serves.
-	api.SetReady(false)
+	cancel()
+	<-draining
 	getJSON(t, base+"/readyz", http.StatusServiceUnavailable, nil)
 	getJSON(t, base+"/healthz", http.StatusOK, nil)
 
 	// Shutdown blocks on the parked request; the listener closes first.
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
+	close(hold)
 	refused := false
 	for i := 0; i < 200; i++ {
 		c, err := net.Dial("tcp", ln.Addr().String())
@@ -873,7 +893,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("listener still accepting connections after Shutdown began")
 	}
 	select {
-	case err := <-shutdownDone:
+	case err := <-served:
 		t.Fatalf("Shutdown returned %v with a request still in flight", err)
 	default:
 	}
@@ -891,10 +911,9 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("in-flight batch answered %v, want %v", res.counts[0], want)
 	}
 
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if err := <-served; err != http.ErrServerClosed {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	// A clean drain: Shutdown succeeded and Serve ended with
+	// ErrServerClosed, which the lifecycle reports as nil.
+	if err := <-served; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

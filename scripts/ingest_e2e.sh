@@ -11,7 +11,9 @@
 #   * the publish pipeline is never wedged by a kill (only live I/O faults
 #     wedge; a restart always recovers).
 #
-# After the loop, `psdingest verify` rebuilds every published version from
+# After the loop the daemon is SIGTERMed with a publish in flight and must
+# drain cleanly: exit status 0 and "bye" logged, never a crash on the way
+# out. Then `psdingest verify` rebuilds every published version from
 # the WAL and bit-compares journal CRC vs fresh rebuild vs on-disk artifact —
 # the byte-identical-recovery guarantee, audited end to end. Finally psdserve
 # watches the publish directory and must serve the versioned artifacts:
@@ -74,6 +76,19 @@ flood() {
 
 stats() { curl -fs "http://127.0.0.1:$PORT/stats"; }
 
+# stop_daemon SIGTERMs the daemon and requires a clean drain: exit status 0
+# and "bye" as its last log line. A crash on the way out (a panic exits 2)
+# fails the run.
+stop_daemon() {
+  local status=0
+  kill -TERM "$DPID"
+  wait "$DPID" || status=$?
+  DPID=""
+  if [ "$status" -ne 0 ] || ! tail -n 1 "$WORK/daemon.log" | grep -q 'bye$'; then
+    echo "   psdingest exited $status on SIGTERM"; tail "$WORK/daemon.log"; exit 1
+  fi
+}
+
 LAST_SPENT=0
 ROUNDS=6
 for round in $(seq 1 $ROUNDS); do
@@ -117,6 +132,18 @@ for round in $(seq 1 $ROUNDS); do
   FLOOD_PID=""
 done
 
+echo "== SIGTERM with a publish in flight: exit 0 and bye"
+start_daemon
+# 2000 new points cross -rebuild-count, so a cadence publish starts as the
+# ingest is acknowledged; the TERM lands while it builds, racing a manual
+# publish fired just before.
+BODY=$(jq -cn '{points: [range(2000) | [(. % 97) + 0.5, (. % 89) + 0.5]]}')
+curl -fs -o /dev/null -X POST --data "$BODY" "http://127.0.0.1:$PORT/ingest"
+curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/publish" &
+PUB_PID=$!
+stop_daemon
+wait "$PUB_PID" || true
+
 echo "== final restart + publish everything pending"
 start_daemon
 curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/publish" || true
@@ -126,7 +153,7 @@ RECOVERED=$(jq -r '.recovered' <<<"$ST")
 POINTS=$(jq -r '.points' <<<"$ST")
 echo "   $POINTS points, $VERSIONS versions, $RECOVERED publication(s) rolled forward by recovery"
 test "$VERSIONS" -ge 1
-kill -TERM "$DPID"; wait "$DPID" 2>/dev/null || true; DPID=""
+stop_daemon
 
 echo "== audit: rebuild every version from the WAL, bit-compare all CRCs"
 /tmp/psdingest verify "${BF[@]}" | tee "$WORK/verify.out"
