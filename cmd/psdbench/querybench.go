@@ -325,6 +325,17 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		HeapDeltaBytes: v3Heap, RSSDeltaBytes: v3RSS,
 	})
 
+	// The batch-cold load on the deep tree: 128-rect batches of the paper's
+	// three shapes (1°×1°, 10°×10°, 15°×0.2°, a third each) over the same
+	// h=10 quadtree, whose 56MB of records exceed the private caches. The
+	// iterations rotate through 64 distinct batches, so none is answered
+	// warm. Lists thin out below the top levels, so this row is dominated
+	// by the per-query walk; par=2 is the sharding /batch gets on an
+	// otherwise idle 2-core replica.
+	if err := deepBatchRows(env, big.Seal(), scale.Seed, emit); err != nil {
+		return err
+	}
+
 	// serve.Release.Count with the cache off: the handler-level hot path
 	// must not allocate either.
 	reg := serve.NewRegistry(0)
@@ -349,10 +360,11 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	})
 
 	// serve.Release.CountBatchInto with the cache off: the /batch handler's
-	// engine call. Every rectangle is a miss, so the whole batch runs
-	// through one node-major call per request; the acceptance bar is 0
-	// allocs/op steady-state (cache-miss insertions excluded — caching is
-	// off, so none happen).
+	// engine call on a saturated replica, where it runs one worker. Every
+	// rectangle is a miss, so the whole batch runs through one single-worker
+	// node-major call per request; the acceptance bar is 0 allocs/op
+	// steady-state (cache-miss insertions excluded — caching is off, so
+	// none happen).
 	srvBatch := uniq.Rects[:256]
 	srvVals := make([]float64, len(srvBatch))
 	rel.CountBatchInto(srvVals, srvBatch) // warm the pools
@@ -379,6 +391,60 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		return err
 	}
 	fmt.Printf("# wrote %s (%d rows)\n", outPath, len(report.Rows))
+	return nil
+}
+
+// deepBatchRows emits the batch/quadtree-h10-paper-n128 rows: per-query
+// walks, then the node-major engine at one and two workers, over 64
+// rotating batches of 128 paper-shape rects.
+func deepBatchRows(env *eval.Env, slab *psd.Slab, seed int64, emit func(queryRow)) error {
+	const size, pool = 128, 64
+	shapes := []workload.QueryShape{{W: 1, H: 1}, {W: 10, H: 10}, {W: 15, H: 0.2}}
+	perShape := make([][]psd.Rect, len(shapes))
+	for i, shape := range shapes {
+		qs, err := workload.GenQueries(env.Index, shape, size*pool/len(shapes)+1, seed^0xdeeb^int64(i))
+		if err != nil {
+			return err
+		}
+		perShape[i] = qs.Rects
+	}
+	batches := make([][]psd.Rect, pool)
+	for b := range batches {
+		batches[b] = make([]psd.Rect, size)
+		for j := range batches[b] {
+			k := b*size + j
+			batches[b][j] = perShape[k%len(shapes)][k/len(shapes)]
+		}
+	}
+	out := make([]float64, size)
+	perNs, perAllocs, perBytes := benchNs(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, q := range batches[i%pool] {
+				out[j] = slab.Count(q)
+			}
+		}
+	})
+	emit(queryRow{
+		Name: fmt.Sprintf("batch/quadtree-h10-paper-n%d/perquery", size),
+		Op:   "batch", Engine: "perquery", Parallelism: 1,
+		NsPerOp: perNs, AllocsPerOp: perAllocs, BytesPerOp: perBytes,
+		QueriesPerSec: size * 1e9 / perNs,
+	})
+	for _, par := range []int{1, 2} {
+		slab.CountBatchIntoWorkers(out, batches[0], par) // warm the pools
+		nmNs, nmAllocs, nmBytes := benchNs(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				slab.CountBatchIntoWorkers(out, batches[i%pool], par)
+			}
+		})
+		emit(queryRow{
+			Name: fmt.Sprintf("batch/quadtree-h10-paper-n%d/nodemajor/par=%d", size, par),
+			Op:   "batch", Engine: "nodemajor", Parallelism: par,
+			NsPerOp: nmNs, AllocsPerOp: nmAllocs, BytesPerOp: nmBytes,
+			QueriesPerSec:     size * 1e9 / nmNs,
+			SpeedupVsPerQuery: perNs / nmNs,
+		})
+	}
 	return nil
 }
 

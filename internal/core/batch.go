@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"psd/internal/geom"
@@ -37,10 +36,12 @@ import (
 //     branches flip in long predictable runs.
 //   - Leaf-parent fusion: at nodes whose children are leaves — roughly
 //     half of all (node, query) pairs — contributions are computed inline
-//     during classification, with no lists and all operands in registers.
+//     during classification, with no lists and all operands in registers
+//     (batchLeafParent; the per-query walk fuses leaf parents the same
+//     way, one query at a time).
 //   - Thin-list handoff: once a subtree's active list has thinned below
-//     batchThinList, the remaining queries finish with per-query walks
-//     (batchSingle, the queryIter loop restarted mid-tree) over the now
+//     batchThinList, the remaining queries finish with the per-query walk
+//     (walk, the same loop Query runs, entered mid-tree) over the now
 //     cache-resident subtree.
 //
 // Answers and traversal statistics are bit-identical to issuing each Query
@@ -48,7 +49,8 @@ import (
 // same DFS order as its own walk would produce them (children are processed
 // in order, and a child's retirements are applied before its subtree
 // recursion, exactly mirroring the per-query stack pops), and (b) the
-// per-(node, query) visit accounting mirrors queryIter event for event.
+// per-(node, query) visit accounting mirrors the per-query walk event for
+// event.
 
 // batchMinShard is the smallest per-worker batch slice worth the fan-out:
 // below it, scheduling overhead beats the parallelism.
@@ -82,15 +84,15 @@ type batchScratch struct {
 	abuf []float64
 	// active is the root's active-query list.
 	active []int32
-	// stack is the DFS stack of the thin-list fast path (batchSingle).
+	// stack is the DFS stack of the thin-list per-query walks.
 	stack []int32
 	// levels[d] holds the child lists of the internal node currently being
 	// processed at depth d. DFS means one node per depth is in flight, so
 	// per-depth buffers are all the traversal ever needs.
 	levels [maxReleaseHeight + 1]batchLists
-	// Counters stay in scalar fields across the recursion; the caller
-	// flushes them into a QueryStats once per shard.
-	visited, added, partials int
+	// st accumulates the shard's traversal statistics across the
+	// recursion; the caller flushes it once per shard.
+	st QueryStats
 	// cancel, when non-nil, is this worker's deadline token (cancel.go):
 	// the traversal polls it at bounded checkpoints and unwinds when it
 	// fires. Cleared before the scratch returns to the pool.
@@ -253,17 +255,21 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 	for k := range stats {
 		stats[k] = QueryStats{}
 	}
+	// A worker's panic is re-raised here once every worker has joined
+	// (par.Group), so a fault in a sharded batch reaches the caller's
+	// recovery instead of killing the process.
 	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
+	var g par.Group
 	for k := 0; k < w; k++ {
 		lo := k * chunk
 		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
+		g.Go(func() {
+			if h := batchWorkerHook.Load(); h != nil {
+				(*h)(k)
+			}
 			sc := s.getBatchScratch()
 			ids := order[lo:hi]
 			m := len(ids)
@@ -283,9 +289,9 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 				out[qi] = acc[i]
 			}
 			s.putBatchScratch(sc)
-		}(k, lo, hi)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	for k := 0; k < w; k++ {
 		st.NodesAdded += stats[k].NodesAdded
 		st.NodesVisited += stats[k].NodesVisited
@@ -293,6 +299,23 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 	}
 	s.putBatchState(bs)
 	return st
+}
+
+// batchWorkerHook, when set, runs first in every sharded batch worker with
+// the worker's shard index. Fault-injection tests use it to panic inside a
+// worker goroutine; production never sets it.
+var batchWorkerHook atomic.Pointer[func(shard int)]
+
+// SetBatchWorkerHook installs fn (nil clears it) as the sharded batch
+// workers' hook and returns a function restoring the previous one. It
+// exists for fault-injection tests.
+func SetBatchWorkerHook(fn func(shard int)) (restore func()) {
+	var p *func(int)
+	if fn != nil {
+		p = &fn
+	}
+	prev := batchWorkerHook.Swap(p)
+	return func() { batchWorkerHook.Store(prev) }
 }
 
 // mortonKeys computes the locality sort key of each query: the bit
@@ -376,7 +399,7 @@ func radixSortByKey(order, tmp []int32, keys []uint32) {
 // and the rest form the root's active list.
 func (s *Slab) countBatchShard(sc *batchScratch, st *QueryStats) {
 	qb, acc := sc.qb, sc.acc
-	sc.visited, sc.added, sc.partials = 0, 0, 0
+	sc.st = QueryStats{}
 	active := sc.active[:0]
 	r := &s.nodes[0]
 	rootUsable := s.allUsable || s.usable.get(0)
@@ -389,26 +412,33 @@ func (s *Slab) countBatchShard(sc *batchScratch, st *QueryStats) {
 			continue
 		}
 		if q.Lo.X <= r[0] && r[2] <= q.Hi.X && q.Lo.Y <= r[1] && r[3] <= q.Hi.Y && rootUsable {
-			sc.added++
+			sc.st.NodesAdded++
 			acc[i] = r[4]
 			continue
 		}
 		active = append(active, int32(i))
 	}
-	sc.visited += len(qb) // every query pops the root exactly once
+	sc.st.NodesVisited += len(qb) // every query pops the root exactly once
 	sc.active = active
 	if !sc.cancel.tick(len(qb)) {
-		if len(active) > batchThinList {
-			s.batchNode(sc, 0, 0, active)
-		} else {
-			for _, qi := range active {
-				s.batchSingle(sc, 0, 0, qi)
-			}
-		}
+		s.batchChild(sc, 0, 0, active)
 	}
-	st.NodesAdded += sc.added
-	st.NodesVisited += sc.visited
-	st.PartialLeaves += sc.partials
+	st.NodesAdded += sc.st.NodesAdded
+	st.NodesVisited += sc.st.NodesVisited
+	st.PartialLeaves += sc.st.PartialLeaves
+}
+
+// batchChild finishes the queries of active below node idx at depth d:
+// node-major while the list is dense, per-query walks once it has thinned
+// to batchThinList or fewer.
+func (s *Slab) batchChild(sc *batchScratch, idx, d int, active []int32) {
+	if len(active) > batchThinList {
+		s.batchNode(sc, idx, d, active)
+		return
+	}
+	for _, qi := range active {
+		sc.acc[qi] = s.walk(sc.qb[qi], idx, d, sc.acc[qi], &sc.stack, &sc.st, sc.cancel)
+	}
 }
 
 // batchLeafParent processes one internal node whose four children are all
@@ -420,6 +450,11 @@ func (s *Slab) countBatchShard(sc *batchScratch, st *QueryStats) {
 // what the per-query pop performs (a retire's single est load, a partial
 // leaf's est × overlapFraction — including the +0.0 add of a zero-area
 // overlap), so the accumulation order and bits match exactly.
+//
+// It applies the same per-leaf rule as the per-query walk's addLeaves. The
+// two are kept apart on purpose: sharing addLeaves here (one call and four
+// record reloads per query) measured ~25% slower on dense lists, and the
+// hoisted form below is slower for the walk's single query.
 //
 //lint:allow ctxpoll -- the visits here are pre-paid: batchNode ticks 4*len(active) before dispatching, covering all four terminal children
 func (s *Slab) batchLeafParent(sc *batchScratch, cs int, active []int32) {
@@ -487,22 +522,9 @@ func (s *Slab) batchLeafParent(sc *batchScratch, cs int, active []int32) {
 		}
 		acc[qi] = sum
 	}
-	sc.visited += 4 * len(active)
-	sc.added += added
-	sc.partials += partials
-}
-
-// leafOverlap is overlapFraction with the node area and clipped interval
-// bounds precomputed by the caller — the same operations in the same
-// order, so the result bits match.
-func leafOverlap(a, lo, hi, lo2, hi2 float64) float64 {
-	if a <= 0 {
-		return 0
-	}
-	if lo >= hi || lo2 >= hi2 {
-		return 0
-	}
-	return (hi - lo) * (hi2 - lo2) / a
+	sc.st.NodesVisited += 4 * len(active)
+	sc.st.NodesAdded += added
+	sc.st.PartialLeaves += partials
 }
 
 // batchNode processes one node the parent classified as active (it
@@ -525,8 +547,8 @@ func (s *Slab) batchNode(sc *batchScratch, idx, d int, active []int32) {
 			return // no released information at or below this node
 		}
 		nd := &nodes[idx]
-		sc.added += len(active)
-		sc.partials += len(active)
+		sc.st.NodesAdded += len(active)
+		sc.st.PartialLeaves += len(active)
 		qb, acc := sc.qb, sc.acc
 		for _, qi := range active {
 			acc[qi] += nd[4] * overlapFraction(nd, qb[qi])
@@ -536,8 +558,8 @@ func (s *Slab) batchNode(sc *batchScratch, idx, d int, active []int32) {
 
 	// Classify every active query against the four children in one pass:
 	// the child bounds are hoisted into locals (registers), so only the
-	// query bounds stream. The outcomes mirror queryIter's classification
-	// loop exactly — drop, retire, or descend — and each (query, child)
+	// query bounds stream. The outcomes mirror the per-query walk's
+	// classification exactly — drop, retire, or descend — and each (query, child)
 	// pair costs one visit, just as each per-query walk pops or discards
 	// that child once. The Morton processing order makes these branches
 	// cheap: spatially adjacent queries classify the same way, so each
@@ -607,8 +629,8 @@ func (s *Slab) batchNode(sc *batchScratch, idx, d int, active []int32) {
 			}
 		}
 	}
-	sc.visited += 4 * na
-	sc.added += m0 + m1 + m2 + m3
+	sc.st.NodesVisited += 4 * na
+	sc.st.NodesAdded += m0 + m1 + m2 + m3
 	lv.desc[0], lv.desc[1], lv.desc[2], lv.desc[3] = l0[:n0], l1[:n1], l2[:n2], l3[:n3]
 	lv.ret[0], lv.ret[1], lv.ret[2], lv.ret[3] = r0[:m0], r1[:m1], r2[:m2], r3[:m3]
 
@@ -625,14 +647,7 @@ func (s *Slab) batchNode(sc *batchScratch, idx, d int, active []int32) {
 				acc[qi] += est
 			}
 		}
-		l := lv.desc[j]
-		if len(l) > batchThinList {
-			s.batchNode(sc, cs+j, d+1, l)
-		} else {
-			for _, qi := range l {
-				s.batchSingle(sc, cs+j, d+1, qi)
-			}
-		}
+		s.batchChild(sc, cs+j, d+1, lv.desc[j])
 	}
 }
 
@@ -644,66 +659,3 @@ func (s *Slab) batchNode(sc *batchScratch, idx, d int, active []int32) {
 // kept either way. Purely a scheduling choice: answers and statistics are
 // identical on both sides of the threshold.
 const batchThinList = 3
-
-// batchSingle finishes one query's traversal below a node its parent
-// classified as partial — the per-query engine's explicit-stack loop
-// (queryIter), restarted mid-tree. It is bit-identical by construction:
-// the same classification tests, the same push order, and the same
-// running-sum accumulation the per-query stack performs, continued on the
-// query's accumulator. The parent already accounted the entry node's
-// visit, so the counter starts at -1 to cancel the first pop.
-func (s *Slab) batchSingle(sc *batchScratch, idx, d int, qi int32) {
-	nodes := s.nodes
-	height := s.height
-	allUsable, hasPruned := s.allUsable, s.hasPruned
-	q := sc.qb[qi]
-	stk := append(sc.stack[:0], int32(idx<<5|d<<1))
-	sum := sc.acc[qi]
-	visited, added, partials := -1, 0, 0
-	for len(stk) > 0 {
-		if sc.cancel.tick(1) {
-			break // deadline fired: the caller discards the partial batch
-		}
-		e := stk[len(stk)-1]
-		stk = stk[:len(stk)-1]
-		visited++
-		if e&slabAddWhole != 0 {
-			added++
-			sum += nodes[e>>1][4]
-			continue
-		}
-		i := int(e >> 5)
-		dd := int(e>>1) & 0xF
-		if dd == height || (hasPruned && s.pruned.get(i)) {
-			if !(allUsable || s.usable.get(i)) {
-				continue
-			}
-			nd := &nodes[i]
-			added++
-			partials++
-			sum += nd[4] * overlapFraction(nd, q)
-			continue
-		}
-		cs := int(s.offsets[dd+1]) + (i-int(s.offsets[dd]))*4
-		cd := (dd + 1) << 1
-		for j := 3; j >= 0; j-- {
-			c := cs + j
-			cr := &nodes[c]
-			if cr[0] >= q.Hi.X || q.Lo.X >= cr[2] || cr[1] >= q.Hi.Y || q.Lo.Y >= cr[3] {
-				visited++
-				continue
-			}
-			if q.Lo.X <= cr[0] && cr[2] <= q.Hi.X && q.Lo.Y <= cr[1] && cr[3] <= q.Hi.Y &&
-				(allUsable || s.usable.get(c)) {
-				stk = append(stk, int32(c<<1|slabAddWhole))
-				continue
-			}
-			stk = append(stk, int32(c<<5|cd))
-		}
-	}
-	sc.stack = stk
-	sc.acc[qi] = sum
-	sc.visited += visited
-	sc.added += added
-	sc.partials += partials
-}

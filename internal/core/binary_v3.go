@@ -104,61 +104,153 @@ func v3LayoutFor(nodes int) v3Layout {
 	return l
 }
 
+// v3Source is what the one v3 writer streams: the header fields, the node
+// records in breadth-first chunks, and the two bitsets. A slab and a built
+// PSD are its two sources; only where the records come from differs.
+type v3Source struct {
+	kind    Kind
+	height  int
+	domain  geom.Rect
+	epsilon float64
+	nodes   int
+	usable  bitset
+	pruned  bitset
+	// records returns the [lox,loy,hix,hiy,est] records of nodes [lo, hi):
+	// a view of the source's own storage, or buf filled in.
+	records func(lo, hi int, buf [][5]float64) [][5]float64
+}
+
+// v3ChunkNodes is the number of records the writer encodes per chunk.
+const v3ChunkNodes = 256
+
 // WriteBinaryV3 serializes the slab in format v3, returning the number of
 // bytes that reached w.
 func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 	s.ensureOpen()
+	return writeV3(w, &v3Source{
+		kind: s.kind, height: s.height, domain: s.domain, epsilon: s.epsilon,
+		nodes: s.Len(), usable: s.usable, pruned: s.pruned,
+		records: func(lo, hi int, _ [][5]float64) [][5]float64 { return s.nodes[lo:hi] },
+	})
+}
+
+// WriteBinaryV3 serializes the PSD's release in format v3 straight from
+// the build arena — byte-identical to p.Release().WriteBinaryV3, without
+// materializing the JSON-shaped release or a slab. It makes the same
+// checks Release.Validate makes of a tree's release (shape, epsilon,
+// domain, finite and ordered rects, finite released counts), all before
+// the first byte is written.
+func (p *PSD) WriteBinaryV3(w io.Writer) (int64, error) {
+	src, err := p.v3Source()
+	if err != nil {
+		return 0, err
+	}
+	return writeV3(w, src)
+}
+
+// v3Source validates the PSD's release and describes it for writeV3: the
+// bitsets are built here, the records are read from the arena chunk by
+// chunk as the writer asks for them.
+func (p *PSD) v3Source() (*v3Source, error) {
+	ar := p.arena
+	n, err := checkShape(ar.Fanout(), ar.Height())
+	if err != nil {
+		return nil, err
+	}
+	eps := p.PrivacyCost()
+	if err := checkEpsilon(eps); err != nil {
+		return nil, err
+	}
+	if err := checkDomain(flattenRect(p.domain)); err != nil {
+		return nil, err
+	}
+	src := &v3Source{
+		kind: p.kind, height: ar.Height(), domain: p.domain, epsilon: eps,
+		nodes: n, usable: newBitset(n), pruned: newBitset(n),
+	}
+	for i := range ar.Nodes {
+		nd := &ar.Nodes[i]
+		if !finiteRect(flattenRect(nd.Rect)) {
+			return nil, fmt.Errorf("core: release node %d has non-finite rect", i)
+		}
+		if !nd.Rect.Valid() {
+			return nil, fmt.Errorf("core: release node %d has inverted rect", i)
+		}
+		if nd.Published || p.postProcessed {
+			if !finite(nd.Est) {
+				return nil, fmt.Errorf("core: release node %d has non-finite count", i)
+			}
+			src.usable.set(i)
+		}
+		if nd.Pruned {
+			src.pruned.set(i)
+		}
+	}
+	src.records = func(lo, hi int, buf [][5]float64) [][5]float64 {
+		buf = buf[:hi-lo]
+		for j := range buf {
+			r := &ar.Nodes[lo+j].Rect
+			buf[j] = [5]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y, ar.Nodes[lo+j].Est}
+		}
+		return buf
+	}
+	return src, nil
+}
+
+// writeV3 is the format-v3 writer, returning the number of bytes that
+// reached w.
+func writeV3(w io.Writer, src *v3Source) (int64, error) {
 	crc := crc64.New(v3CRCTable)
 	aw := newArtifactWriter(w, crc)
-	n := s.Len()
+	n := src.nodes
 	lay := v3LayoutFor(n)
 	numPruned := 0
-	for _, word := range s.pruned {
+	for _, word := range src.pruned {
 		numPruned += bits.OnesCount64(word)
 	}
 
 	var hdr [v3HeaderSize]byte
 	copy(hdr[0:4], v3Magic[:])
 	hdr[4] = v3Version
-	hdr[5] = byte(s.kind)
+	hdr[5] = byte(src.kind)
 	hdr[6] = 4
-	hdr[7] = byte(s.height)
-	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(s.epsilon))
-	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(s.domain.Lo.X))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(s.domain.Lo.Y))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(s.domain.Hi.X))
-	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(s.domain.Hi.Y))
+	hdr[7] = byte(src.height)
+	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(src.epsilon))
+	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(src.domain.Lo.X))
+	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(src.domain.Lo.Y))
+	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(src.domain.Hi.X))
+	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(src.domain.Hi.Y))
 	binary.LittleEndian.PutUint32(hdr[48:], uint32(n))
 	binary.LittleEndian.PutUint32(hdr[52:], uint32(numPruned))
 	aw.write(hdr[:])
 
-	// Records go out record-major through a chunk-sized scratch, count
-	// slots of unpublished nodes forced to zero so the section is exactly
-	// what a decoded slab holds (and what a mapping aliases).
-	var b [v3RecordSize * 204]byte
-	off := 0
-	for i := 0; i < n; i++ {
-		nd := &s.nodes[i]
-		for c := 0; c < 5; c++ {
-			v := nd[c]
-			if c == 4 && !s.usable.get(i) {
-				v = 0
+	// Records go out record-major a chunk at a time, count slots of
+	// unpublished nodes forced to zero so the section is exactly what a
+	// decoded slab holds (and what a mapping aliases).
+	var recBuf [v3ChunkNodes][5]float64
+	var b [v3ChunkNodes * v3RecordSize]byte
+	for lo := 0; lo < n; lo += v3ChunkNodes {
+		recs := src.records(lo, min(lo+v3ChunkNodes, n), recBuf[:])
+		off := 0
+		for j := range recs {
+			nd := &recs[j]
+			for c := 0; c < 5; c++ {
+				v := nd[c]
+				if c == 4 && !src.usable.get(lo+j) {
+					v = 0
+				}
+				binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+				off += 8
 			}
-			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
-			off += 8
 		}
-		if off == len(b) {
-			aw.write(b[:off])
-			off = 0
-		}
+		aw.write(b[:off])
 	}
-	aw.write(b[:off])
 	aw.zeros(int(lay.usableOff - lay.recordsEnd))
-	for _, word := range s.usable {
+	for _, word := range src.usable {
 		aw.u64(word)
 	}
 	aw.zeros(int(lay.prunedOff - (lay.usableOff + lay.bitsetLen)))
-	for _, word := range s.pruned {
+	for _, word := range src.pruned {
 		aw.u64(word)
 	}
 	aw.zeros(int(lay.footerOff - (lay.prunedOff + lay.bitsetLen)))

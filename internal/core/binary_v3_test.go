@@ -503,3 +503,83 @@ func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestPSDWriteBinaryV3MatchesRelease pins the direct encoder: writing a
+// built PSD's v3 artifact straight from the arena yields exactly the bytes
+// of the detour through the JSON-shaped release, for every family —
+// pruned, adaptive (PrivTree) and unpublished levels included.
+func TestPSDWriteBinaryV3MatchesRelease(t *testing.T) {
+	dom := geom.NewRect(0, 0, 128, 64)
+	pts := randomPoints(4096, dom, 63)
+	cfgs := append(slabTestConfigs(),
+		Config{Kind: Quadtree, Height: 3, Epsilon: 1, Seed: 64, Strategy: budget.LeafOnly{}},
+		Config{Kind: Quadtree, Height: 0, Epsilon: 1, Seed: 65},
+	)
+	for _, cfg := range cfgs {
+		p, err := Build(pts, dom, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v3Bytes(t, p)
+		var buf bytes.Buffer
+		n, err := p.WriteBinaryV3(&buf)
+		if err != nil {
+			t.Fatalf("%v h=%d: %v", cfg.Kind, cfg.Height, err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("%v h=%d: WriteBinaryV3 reported %d bytes, wrote %d", cfg.Kind, cfg.Height, n, buf.Len())
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%v h=%d: direct v3 encoding differs from the release detour", cfg.Kind, cfg.Height)
+		}
+	}
+}
+
+// TestPSDWriteBinaryV3Validates pins that the direct encoder keeps every
+// check the release detour made, and fails before writing a byte.
+func TestPSDWriteBinaryV3Validates(t *testing.T) {
+	dom := geom.NewRect(0, 0, 64, 64)
+	pts := randomPoints(512, dom, 66)
+	cases := map[string]func(p *PSD){
+		"NaN rect":           func(p *PSD) { p.arena.Nodes[3].Rect.Lo.X = math.NaN() },
+		"infinite rect":      func(p *PSD) { p.arena.Nodes[7].Rect.Hi.Y = math.Inf(1) },
+		"inverted rect":      func(p *PSD) { r := &p.arena.Nodes[5].Rect; r.Lo.X, r.Hi.X = r.Hi.X, r.Lo.X-1 },
+		"NaN published est":  func(p *PSD) { p.arena.Nodes[9].Est = math.NaN() },
+		"infinite published": func(p *PSD) { p.arena.Nodes[0].Est = math.Inf(-1) },
+		"NaN domain":         func(p *PSD) { p.domain.Hi.X = math.NaN() },
+		"empty domain":       func(p *PSD) { p.domain.Hi.Y = p.domain.Lo.Y },
+	}
+	for name, mutate := range cases {
+		p, err := Build(pts, dom, Config{Kind: Quadtree, Height: 2, Epsilon: 1, Seed: 67, PostProcess: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(p)
+		if _, err := p.Release().WriteBinaryV3(io.Discard); err == nil {
+			t.Fatalf("%s: the release detour accepted it; the case tests nothing", name)
+		}
+		var buf bytes.Buffer
+		if _, err := p.WriteBinaryV3(&buf); err == nil {
+			t.Errorf("%s: direct v3 encoding accepted an invalid release", name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the validation error", name, buf.Len())
+		}
+	}
+
+	// An unpublished node's count is never released, so a non-finite
+	// working estimate there is no error (the slot is written as zero).
+	p, err := Build(pts, dom, Config{Kind: Quadtree, Height: 2, Epsilon: 1, Seed: 68, Strategy: budget.LeafOnly{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v3Bytes(t, p)
+	p.arena.Nodes[0].Est = math.NaN()
+	var buf bytes.Buffer
+	if _, err := p.WriteBinaryV3(&buf); err != nil {
+		t.Fatalf("unpublished NaN estimate: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("an unpublished estimate leaked into the artifact")
+	}
+}

@@ -283,11 +283,9 @@ func runTasks[T any](workers int, tasks []T, run func(t T, sc *median.Scratch) e
 	}
 	close(ch)
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
+	var g par.Group
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+		g.Go(func() {
 			var sc median.Scratch
 			for t := range ch {
 				if errs[w] != nil {
@@ -295,9 +293,9 @@ func runTasks[T any](workers int, tasks []T, run func(t T, sc *median.Scratch) e
 				}
 				errs[w] = run(t, &sc)
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -205,6 +206,13 @@ func FuzzCountBatch(f *testing.F) {
 	f.Add(64.0, 64.0, 64.0, 64.0, uint8(2), int64(11))
 	f.Add(16.0, 16.0, 48.0, 48.0, uint8(13), int64(12))
 	f.Add(32.0, 0.0, 32.0, 64.0, uint8(6), int64(13))
+	// The walk's edge cases (walkTrees): zero-width queries inside a leaf
+	// (zero overlap, still added and partial), along a leaf edge, and
+	// through the zero-area cells of the duplicate spot.
+	f.Add(10.0, 10.0, 10.0, 20.0, uint8(0), int64(14))
+	f.Add(8.0, 10.0, 8.0, 20.0, uint8(4), int64(15))
+	f.Add(20.0, 0.0, 20.0, 64.0, uint8(8), int64(16))
+	f.Add(19.0, 36.0, 21.0, 36.0, uint8(3), int64(17))
 
 	f.Fuzz(func(t *testing.T, a, b, c, d float64, n uint8, seed int64) {
 		// The seed rect plus n derived rects (shifted/scaled walks around
@@ -221,7 +229,8 @@ func FuzzCountBatch(f *testing.F) {
 			qs = append(qs, geom.Rect{Lo: geom.Point{X: x, Y: y}, Hi: geom.Point{X: x + w, Y: y + h}})
 		}
 
-		for _, p := range fuzzTrees() {
+		trees := append(slices.Clip(fuzzTrees()), walkTree("unpublished-leaves"), walkTree("zero-area-leaves"))
+		for _, p := range trees {
 			s := p.Sealed()
 			want, wantSt := sumStats(s, qs)
 			// The arena reference must agree with the slab per-query loop
@@ -270,6 +279,12 @@ var fuzzTrees = sync.OnceValue(func() []*PSD {
 		}
 		out = append(out, p)
 	}
+	// The consistent edge cases of the per-query walk: pruned roots at
+	// depth h−1, a root that is a leaf, and a root that is a fused leaf
+	// parent.
+	for _, name := range []string{"pruned-h-1", "h=0", "h=1"} {
+		out = append(out, walkTree(name))
+	}
 	return out
 })
 
@@ -292,6 +307,9 @@ func FuzzCount(f *testing.F) {
 	f.Add(64.0, 64.0, 64.0, 64.0)
 	f.Add(16.0, 16.0, 48.0, 48.0)
 	f.Add(32.0, 0.0, 32.0, 64.0)
+	f.Add(10.0, 10.0, 10.0, 20.0)
+	f.Add(8.0, 10.0, 8.0, 20.0)
+	f.Add(20.0, 0.0, 20.0, 64.0)
 
 	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
 		for _, v := range []float64{a, b, c, d} {

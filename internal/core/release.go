@@ -148,7 +148,7 @@ func (r *Release) Validate() error {
 		}
 	}
 	for i, c := range r.Counts {
-		if c != nil && (math.IsNaN(*c) || math.IsInf(*c, 0)) {
+		if c != nil && !finite(*c) {
 			return fmt.Errorf("core: release node %d has non-finite count", i)
 		}
 	}
@@ -168,13 +168,12 @@ func (r *Release) Validate() error {
 }
 
 func finiteRect(v [4]float64) bool {
-	for _, f := range v {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
+	return finite(v[0]) && finite(v[1]) && finite(v[2]) && finite(v[3])
 }
+
+// finite reports whether f is neither NaN nor infinite, in one comparison
+// (NaN fails every comparison).
+func finite(f float64) bool { return math.Abs(f) <= math.MaxFloat64 }
 
 // checkShape validates the declared fanout/height and returns the node
 // count of the complete tree. Shared by the JSON and binary (format v2)

@@ -447,34 +447,60 @@ func (s *Slab) CountAllWorkers(qs []geom.Rect, workers int) []float64 {
 // so both encodings fit a non-negative int32.
 const slabAddWhole = 1
 
-// queryIter runs the canonical method over the columns with an explicit
-// stack. At every partially intersecting internal node it classifies all
-// four children in one pass over the contiguous rect column segment:
-// children missing the query are never pushed (a plain DFS would push and
-// re-pop them), and children fully inside it are pushed pre-classified, so
-// their pop is a single est load. The push order keeps pops — and therefore
-// the floating-point accumulation order — in child order, exactly a plain
-// left-to-right DFS's.
+// queryIter answers one query with the canonical method: it visits the
+// root — the only node no parent classified — and hands a partially
+// intersecting root to walk.
 //
 // cancel, when non-nil, is polled at bounded checkpoints (see cancel.go);
 // when it fires the walk abandons its partial sum, which the *Ctx callers
 // discard. The plain callers pass nil and pay one predictable branch per
-// pop.
+// checkpoint.
 func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *cancelToken) float64 {
-	if q.Lo.X != q.Lo.X || q.Lo.Y != q.Lo.Y || q.Hi.X != q.Hi.X || q.Hi.Y != q.Hi.Y {
-		// A NaN bound fails every interval test: like a plain DFS, the walk
-		// visits the root, finds no intersection, and answers 0.
-		st.NodesVisited++
+	if cancel.tick(1) {
+		return 0 // deadline fired: the caller discards the answer
+	}
+	st.NodesVisited++
+	// A NaN bound fails every interval test: like a plain DFS, the walk
+	// visits the root, finds no intersection, and answers 0.
+	r := &s.nodes[0]
+	if !(r[0] < q.Hi.X && q.Lo.X < r[2] && r[1] < q.Hi.Y && q.Lo.Y < r[3]) {
 		return 0
 	}
-	stk := append((*stack)[:0], 0) // root: idx 0, depth 0, unclassified
+	var sum float64 // +0, so an estimate of -0 answers +0 as the DFS's running sum does
+	if q.Lo.X <= r[0] && r[2] <= q.Hi.X && q.Lo.Y <= r[1] && r[3] <= q.Hi.Y &&
+		(s.allUsable || s.usable.get(0)) {
+		st.NodesAdded++
+		return sum + r[4]
+	}
+	return s.walk(q, 0, 0, sum, stack, st, cancel)
+}
+
+// walk is the one per-query walk of the canonical method, shared by
+// queryIter and the batch engine's thin-list tail. It continues q's
+// traversal below the entry node (idx at depth d), which the caller has
+// already visited and found intersecting q without being (contained and
+// usable), adding every later contribution to the running sum in the
+// order a plain left-to-right DFS produces them, and returns the sum.
+//
+// At a partially intersecting internal node it classifies all four
+// children in one pass over the contiguous records: children missing the
+// query are never pushed (a plain DFS would push and re-pop them), and
+// children fully inside it are pushed pre-classified, so their pop is a
+// single est load. Pushing in reverse keeps pops — and therefore the
+// floating-point accumulation order — in child order. A node whose
+// children are leaves is fused: its four leaves contribute right at its
+// pop (addLeaves), which is exactly when a plain DFS would pop them next.
+// Leaf visits are about half of all visits, so fusion skips half the
+// stack round-trips.
+func (s *Slab) walk(q geom.Rect, idx, d int, sum float64, stack *[]int32, st *QueryStats, cancel *cancelToken) float64 {
+	stk := append((*stack)[:0], int32(idx<<5|d<<1))
 	nodes := s.nodes
 	height := s.height
 	allUsable, hasPruned := s.allUsable, s.hasPruned
-	var sum float64
 	// Counters stay in registers across the loop; st is written once at the
-	// end.
-	var visited, added, partials int
+	// end. The entry's visit was counted by the caller, so the first pop
+	// does not count.
+	visited, added, partials := -1, 0, 0
 	for len(stk) > 0 {
 		if cancel.tick(1) {
 			break // deadline fired: the caller discards the partial sum
@@ -487,39 +513,32 @@ func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *ca
 			sum += nodes[e>>1][4]
 			continue
 		}
-		idx := int(e >> 5)
-		d := int(e>>1) & 0xF
-		if e == 0 {
-			// Only the root arrives unclassified (every other entry went
-			// through its parent's classification): run the tests pushes
-			// normally pre-answer.
-			r := &nodes[0]
-			if r[0] >= q.Hi.X || q.Lo.X >= r[2] || r[1] >= q.Hi.Y || q.Lo.Y >= r[3] {
-				continue
-			}
-			if q.Lo.X <= r[0] && r[2] <= q.Hi.X && q.Lo.Y <= r[1] && r[3] <= q.Hi.Y &&
-				(allUsable || s.usable.get(0)) {
-				added++
-				sum += r[4]
-				continue
-			}
-		}
-		// The node intersects q but is not (contained and usable).
-		if d == height || (hasPruned && s.pruned.get(idx)) {
+		i := int(e >> 5)
+		dd := int(e>>1) & 0xF
+		if dd == height || (hasPruned && s.pruned.get(i)) {
 			// Terminal node (leaf or pruned root): uniformity assumption.
-			if !(allUsable || s.usable.get(idx)) {
+			if !(allUsable || s.usable.get(i)) {
 				continue // no released information at or below this node
 			}
-			nd := &nodes[idx]
+			nd := &nodes[i]
 			added++
 			partials++
 			sum += nd[4] * overlapFraction(nd, q)
 			continue
 		}
-		// Classify the fanout in one pass; push in reverse so children pop —
-		// and contribute — in order.
-		cs := int(s.offsets[d+1]) + (idx-int(s.offsets[d]))*4
-		cd := (d + 1) << 1
+		cs := int(s.offsets[dd+1]) + (i-int(s.offsets[dd]))*4
+		if dd+1 == height {
+			if cancel.tick(4) {
+				break
+			}
+			var a, p int
+			sum, a, p = s.addLeaves(&q, cs, sum)
+			visited += 4
+			added += a
+			partials += p
+			continue
+		}
+		cd := (dd + 1) << 1
 		for j := 3; j >= 0; j-- {
 			c := cs + j
 			cr := &nodes[c]
@@ -544,21 +563,56 @@ func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *ca
 	return sum
 }
 
+// addLeaves applies the per-leaf rule to the four leaf children at
+// cs..cs+3 of one partially intersecting node, in child order, and returns
+// the running sum with their contributions plus the added and partial
+// counts. Each leaf is one visit, whatever it contributes:
+//
+//   - disjoint from q, or without released information: nothing;
+//   - contained in q (and usable): +est, one node added;
+//   - otherwise: +est × overlapFraction, added and partial — including
+//     the +0 of a zero-area leaf or a zero-width query.
+//
+// It accumulates exactly what popping the four leaves one by one would.
+// The batch engine's batchLeafParent applies the same rule to a whole
+// query list (see there for why the two stay separate).
+func (s *Slab) addLeaves(q *geom.Rect, cs int, sum float64) (float64, int, int) {
+	lox, loy, hix, hiy := q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y
+	allUsable := s.allUsable
+	leaves := (*[4][5]float64)(s.nodes[cs : cs+4])
+	added, partials := 0, 0
+	for j := range leaves {
+		r := &leaves[j]
+		if r[0] >= hix || lox >= r[2] || r[1] >= hiy || loy >= r[3] ||
+			!(allUsable || s.usable.get(cs+j)) {
+			continue
+		}
+		added++
+		if lox <= r[0] && r[2] <= hix && loy <= r[1] && r[3] <= hiy {
+			sum += r[4]
+			continue
+		}
+		partials++
+		sum += r[4] * overlapFraction(r, *q)
+	}
+	return sum, added, partials
+}
+
 // overlapFraction is geom.Rect.OverlapFraction over a packed node record:
 // area(node ∩ q) / area(node), 0 for zero-area nodes. The arithmetic
 // matches geom operation-for-operation — the builtin max/min share
 // math.Max/math.Min semantics exactly but inline — so slab answers stay
 // bit-identical.
 func overlapFraction(r *[5]float64, q geom.Rect) float64 {
-	a := (r[2] - r[0]) * (r[3] - r[1])
-	if a <= 0 {
-		return 0
-	}
-	lo := max(r[0], q.Lo.X)
-	hi := min(r[2], q.Hi.X)
-	lo2 := max(r[1], q.Lo.Y)
-	hi2 := min(r[3], q.Hi.Y)
-	if lo >= hi || lo2 >= hi2 {
+	return leafOverlap((r[2]-r[0])*(r[3]-r[1]),
+		max(r[0], q.Lo.X), min(r[2], q.Hi.X), max(r[1], q.Lo.Y), min(r[3], q.Hi.Y))
+}
+
+// leafOverlap is overlapFraction's arithmetic with the node area and the
+// clipped interval bounds supplied by the caller (the batch engine hoists
+// the areas of a leaf parent's children across its whole query list).
+func leafOverlap(a, lo, hi, lo2, hi2 float64) float64 {
+	if a <= 0 || lo >= hi || lo2 >= hi2 {
 		return 0
 	}
 	return (hi - lo) * (hi2 - lo2) / a

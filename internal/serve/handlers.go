@@ -7,6 +7,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -326,10 +327,11 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if a.testHookBatch != nil {
 		a.testHookBatch()
 	}
-	// One node-major engine call answers every miss; hits fill from the
-	// cache per query, exactly as the single-query endpoint would.
+	// One node-major engine call answers every miss, sharded across the
+	// cores other requests leave idle; hits fill from the cache per query,
+	// exactly as the single-query endpoint would.
 	vals := make([]float64, len(qs))
-	hits, bst, err := rel.CountBatchIntoCtx(r.Context(), vals, qs)
+	hits, bst, err := rel.CountBatchIntoCtx(r.Context(), vals, qs, a.batchWorkers())
 	if err != nil {
 		a.countErr(w, err)
 		return
@@ -340,6 +342,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		"cache_hits": hits,
 		"stats":      bst,
 	})
+}
+
+// batchWorkers is the worker bound of one /batch engine call: GOMAXPROCS
+// less the other in-flight /v1 requests, at least 1. On a saturated
+// replica (in flight >= GOMAXPROCS) concurrent requests already occupy
+// every core, so each batch runs the allocation-free single traversal; on
+// a lightly loaded one a batch also uses the cores that would sit idle.
+func (a *API) batchWorkers() int {
+	return max(runtime.GOMAXPROCS(0)-int(a.inflight.Load()-1), 1)
 }
 
 func (a *API) handleRegions(w http.ResponseWriter, r *http.Request) {

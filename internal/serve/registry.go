@@ -114,23 +114,26 @@ func (r *Release) CountBatch(qs []psd.Rect) (vals []float64, hits int) {
 
 // CountBatchInto is CountBatch writing into vals (whose length must match
 // the batch). It preserves the per-query cache lookup/fill of the
-// single-query path and executes exactly one engine call for the misses,
-// returning the hit count plus the engine's aggregate traversal statistics
-// over the missed rectangles (the sum of what each individual query would
-// report). With a warm cache — or caching disabled — the steady-state call
-// allocates nothing: the miss-tracking scratch is pooled and the engine
-// runs out of pooled traversal state.
+// single-query path and executes exactly one single-worker engine call for
+// the misses, returning the hit count plus the engine's aggregate
+// traversal statistics over the missed rectangles (the sum of what each
+// individual query would report). With a warm cache — or caching disabled
+// — the steady-state call allocates nothing: the miss-tracking scratch is
+// pooled and the engine runs out of pooled traversal state.
 func (r *Release) CountBatchInto(vals []float64, qs []psd.Rect) (hits int, st psd.QueryStats) {
-	hits, st, _ = r.CountBatchIntoCtx(context.Background(), vals, qs)
+	hits, st, _ = r.CountBatchIntoCtx(context.Background(), vals, qs, 1)
 	return hits, st
 }
 
-// CountBatchIntoCtx is CountBatchInto honoring ctx: the miss traversal runs
-// with cancellation checkpoints and the call returns ctx.Err() — with vals
-// undefined — if the deadline fires mid-walk. An abandoned batch records
-// nothing: no cache fills, no stats, so shed work never pollutes the
-// serving state.
-func (r *Release) CountBatchIntoCtx(ctx context.Context, vals []float64, qs []psd.Rect) (hits int, st psd.QueryStats, err error) {
+// CountBatchIntoCtx is CountBatchInto honoring ctx, with the misses'
+// engine call sharded across at most workers goroutines (the engine also
+// caps it at one worker per 64 misses; workers <= 1 is the allocation-free
+// single-traversal path). Answers, hits and statistics are identical at
+// every worker count. The miss traversal runs with cancellation
+// checkpoints and the call returns ctx.Err() — with vals undefined — if
+// the deadline fires mid-walk. An abandoned batch records nothing: no
+// cache fills, no stats, so shed work never pollutes the serving state.
+func (r *Release) CountBatchIntoCtx(ctx context.Context, vals []float64, qs []psd.Rect, workers int) (hits int, st psd.QueryStats, err error) {
 	start := time.Now()
 	bb, _ := r.batchBufs.Get().(*batchBuf)
 	if bb == nil {
@@ -152,11 +155,10 @@ func (r *Release) CountBatchIntoCtx(ctx context.Context, vals []float64, qs []ps
 			bb.missVals = make([]float64, len(missQs))
 		}
 		missVals := bb.missVals[:len(missQs)]
-		// One traversal on this goroutine: under serving load, concurrency
-		// comes from concurrent requests already saturating the cores, and
-		// the single-worker engine path is the one that is allocation-free
-		// on every machine (the sharded path spawns per-request workers).
-		st, err = r.Slab.CountBatchIntoWorkersCtx(ctx, missVals, missQs, 1)
+		// One engine call for every miss. workers <= 1 keeps the traversal
+		// on this goroutine, allocation-free; more spreads it over cores a
+		// lightly loaded replica would otherwise leave idle.
+		st, err = r.Slab.CountBatchIntoWorkersCtx(ctx, missVals, missQs, max(workers, 1))
 		if err != nil {
 			bb.missIdx, bb.missQs = missIdx[:0], missQs[:0]
 			r.batchBufs.Put(bb)

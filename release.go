@@ -27,7 +27,7 @@ func (t *Tree) WriteRelease(w io.Writer) error {
 // another toolchain reads the release. Format v2 artifacts written by
 // earlier versions stay readable by OpenSlab and OpenSlabFile.
 func (t *Tree) WriteBinaryV3Release(w io.Writer) error {
-	_, err := t.inner.Release().WriteBinaryV3(w)
+	_, err := t.inner.WriteBinaryV3(w)
 	return err
 }
 
