@@ -331,45 +331,9 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCountAll measures batch range-query throughput, one DFS per
-// query over the sealed slab, across the parallelism axis.
-func BenchmarkCountAll(b *testing.B) {
-	env := quickEnv(b)
-	tree, err := Build(env.Data.Points, env.Data.Domain, Options{
-		Kind: QuadtreeKind, Height: 10, Epsilon: 0.5, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	slab := tree.Seal()
-	qs, err := env.Queries(workload.QueryShape{W: 10, H: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A serving-sized batch: repeat the workload to 960 queries.
-	batch := make([]Rect, 0, 960)
-	for len(batch) < 960 {
-		batch = append(batch, qs.Rects...)
-	}
-	for _, par := range BenchParallelisms() {
-		b.Run(fmt.Sprintf("slab/batch960/par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			var out []float64
-			for i := 0; i < b.N; i++ {
-				out = slab.inner.CountAllWorkers(batch, par)
-			}
-			_ = out
-			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
-}
-
 // BenchmarkCountBatch measures the node-major batch engine across the
-// kind × batch-size × parallelism axes, against the same 10%×10% workload
-// BenchmarkCountAll answers one DFS at a time — the two report the same
-// queries/sec metric, so the node-major speedup reads directly off the
-// pair. Answers are bit-identical to the per-query path (pinned by
+// kind × batch-size × parallelism axes on the 10%×10% workload.
+// Answers are bit-identical to the per-query path (pinned by
 // TestCountBatchMatchesPerQuery and FuzzCountBatch); allocs/op is the
 // steady-state bar, 0 at par=1.
 func BenchmarkCountBatch(b *testing.B) {
@@ -406,11 +370,11 @@ func BenchmarkCountBatch(b *testing.B) {
 			out := make([]float64, size)
 			for _, par := range BenchParallelisms() {
 				b.Run(fmt.Sprintf("%s/n=%d/par=%d", k.name, size, par), func(b *testing.B) {
-					slab.inner.CountBatchInto(out, batch, par) // warm the pools
+					slab.CountBatchIntoWorkers(out, batch, par) // warm the pools
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						slab.inner.CountBatchInto(out, batch, par)
+						slab.CountBatchIntoWorkers(out, batch, par)
 					}
 					b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 				})

@@ -11,13 +11,12 @@ import (
 	"psd"
 	"psd/internal/atomicfile"
 	"psd/internal/eval"
-	"psd/internal/workload"
 )
 
 // benchReport is the machine-readable performance snapshot psdbench bench
 // writes (BENCH_build.json by default), so the perf trajectory of the build
-// and query hot paths can be compared across commits without parsing Go
-// benchmark text output.
+// hot path can be compared across commits without parsing Go benchmark
+// text output.
 type benchReport struct {
 	// Schema versions the JSON layout.
 	Schema int `json:"schema"`
@@ -35,27 +34,25 @@ type benchReport struct {
 type benchRow struct {
 	// Name is "<op>/<config>/par=<n>".
 	Name string `json:"name"`
-	// Op is "build" or "countall".
+	// Op is "build".
 	Op string `json:"op"`
-	// Kind is the decomposition family (build rows).
+	// Kind is the decomposition family.
 	Kind string `json:"kind,omitempty"`
-	// Height is the tree height (build rows).
+	// Height is the tree height.
 	Height int `json:"height,omitempty"`
 	// Parallelism is the worker bound the run used (0 = all cores).
 	Parallelism int `json:"parallelism"`
-	// NsPerOp is wall time per operation (one build, or one batch).
+	// NsPerOp is wall time per operation (one build).
 	NsPerOp float64 `json:"ns_per_op"`
 	// AllocsPerOp and BytesPerOp come from the Go benchmark framework.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// PointsPerSec is build throughput (build rows).
+	// PointsPerSec is build throughput.
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	// QueriesPerSec is batch query throughput (countall rows).
-	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
 }
 
-// runBenchJSON measures the representative build and batch-query
-// configurations at the given scale and writes the report to outPath.
+// runBenchJSON measures the representative build configurations at the
+// given scale and writes the report to outPath.
 func runBenchJSON(env *eval.Env, scale eval.Scale, outPath string) error {
 	report := benchReport{
 		Schema:    1,
@@ -100,43 +97,6 @@ func runBenchJSON(env *eval.Env, scale eval.Scale, outPath string) error {
 		}
 	}
 
-	tree, err := psd.Build(env.Data.Points, env.Data.Domain, psd.Options{
-		Kind: psd.QuadtreeKind, Height: 10, Epsilon: 0.5, Seed: 1,
-	})
-	if err != nil {
-		return err
-	}
-	qs, err := env.Queries(workload.QueryShape{W: 10, H: 10})
-	if err != nil {
-		return err
-	}
-	batch := make([]psd.Rect, 0, 960)
-	for len(batch) < 960 {
-		batch = append(batch, qs.Rects...)
-	}
-	for _, par := range parLevels {
-		parallelism := par
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// par=0 would also work; pin the axis value for the report.
-				_ = treeCountAll(tree, batch, parallelism)
-			}
-		})
-		ns := float64(res.NsPerOp())
-		report.Rows = append(report.Rows, benchRow{
-			Name:          fmt.Sprintf("countall/batch%d/par=%d", len(batch), par),
-			Op:            "countall",
-			Parallelism:   par,
-			NsPerOp:       ns,
-			AllocsPerOp:   res.AllocsPerOp(),
-			BytesPerOp:    res.AllocedBytesPerOp(),
-			QueriesPerSec: float64(len(batch)) * 1e9 / ns,
-		})
-		fmt.Printf("countall/batch%-6d par=%-2d %12.0f ns/op %10d allocs/op %12.0f queries/sec\n",
-			len(batch), par, ns, res.AllocsPerOp(), float64(len(batch))*1e9/ns)
-	}
-
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -150,17 +110,4 @@ func runBenchJSON(env *eval.Env, scale eval.Scale, outPath string) error {
 	}
 	fmt.Printf("# wrote %s (%d rows)\n", outPath, len(report.Rows))
 	return nil
-}
-
-// treeCountAll pins the worker count for reporting. The public CountAll
-// always uses every core; the report wants the explicit axis.
-func treeCountAll(t *psd.Tree, qs []psd.Rect, workers int) []float64 {
-	if workers <= 1 {
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = t.Count(q)
-		}
-		return out
-	}
-	return t.CountAll(qs)
 }

@@ -22,10 +22,10 @@
 //	        (-benchout, default BENCH_build.json) so the performance
 //	        trajectory is machine-readable across commits
 //	query-bench
-//	        query-side hot paths of the slab engine: single query and
-//	        batch CountAll, the node-major batch engine vs the per-query
-//	        loop (batch 256/1024/4096), release open time (JSON vs binary
-//	        decode, v3 mmap), and the allocation-free serve.Count path,
+//	        query-side hot paths of the slab engine: single query, the
+//	        node-major batch engine vs the per-query loop (batch
+//	        256/1024/4096), release open time (JSON vs binary decode, v3
+//	        mmap), and the allocation-free serve.Release count paths,
 //	        written as JSON (-queryout, default BENCH_query.json)
 //	serve-bench
 //	        HTTP serving load generator: queries/sec and cache hit rate

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,8 +24,8 @@ import (
 
 // queryReport is the machine-readable query-side performance snapshot
 // `psdbench query-bench` writes (BENCH_query.json by default): the serving
-// hot paths of the slab query engine — single query, batch CountAll, the
-// node-major batch engine, artifact open, and the in-process serve.Count —
+// hot paths of the slab query engine — single query, the node-major batch
+// engine, artifact open, and the in-process serve.Release count paths —
 // pinned as committed numbers.
 type queryReport struct {
 	Schema    int        `json:"schema"`
@@ -40,14 +41,13 @@ type queryReport struct {
 type queryRow struct {
 	// Name is "<op>/<case>/<engine>[/par=<n>]".
 	Name string `json:"name"`
-	// Op is "query", "countall", "batch", "open", "servecount" or
-	// "servebatch".
+	// Op is "query", "batch", "open", "servecount" or "servebatch".
 	Op string `json:"op"`
-	// Engine is "slab" (query and countall rows), "perquery" or
+	// Engine is "slab" (query and servecount rows), "perquery" or
 	// "nodemajor" (batch rows), or "json", "binary" or "mmap" (how open
 	// rows read the artifact).
 	Engine string `json:"engine"`
-	// Parallelism is the worker bound (countall rows; 0 = one per core).
+	// Parallelism is the worker bound (batch rows; 0 = one per core).
 	Parallelism int `json:"parallelism,omitempty"`
 	// NsPerOp is wall time per operation (one query, one batch, one open).
 	NsPerOp float64 `json:"ns_per_op"`
@@ -55,7 +55,7 @@ type queryRow struct {
 	// acceptance bar for single-query rows is 0 allocs/op.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// QueriesPerSec is batch throughput (countall rows).
+	// QueriesPerSec is batch throughput (batch and servebatch rows).
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
 	// ArtifactBytes is the serialized size (open rows).
 	ArtifactBytes int `json:"artifact_bytes,omitempty"`
@@ -98,7 +98,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	}
 
 	// The acceptance configuration: the kd h=8 build of BuildBenchConfigs,
-	// queried with the paper's 10%×10% workload at serving batch size.
+	// queried with the paper's 10%×10% workload.
 	tree, err := psd.Build(env.Data.Points, env.Data.Domain, psd.Options{
 		Kind: psd.KDTree, Height: 8, Epsilon: 0.5, Seed: 1,
 	})
@@ -109,10 +109,6 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	qs, err := env.Queries(workload.QueryShape{W: 10, H: 10})
 	if err != nil {
 		return err
-	}
-	batch := make([]psd.Rect, 0, 960)
-	for len(batch) < 960 {
-		batch = append(batch, qs.Rects...)
 	}
 	small, err := env.Queries(workload.QueryShape{W: 1, H: 1})
 	if err != nil {
@@ -155,24 +151,6 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		emit(queryRow{
 			Name: "query/" + qc.name + "/slab", Op: "query", Engine: "slab",
 			NsPerOp: slabNs, AllocsPerOp: slabAllocs, BytesPerOp: slabBytes,
-		})
-	}
-
-	// Batch CountAll on the kd h=8 tree, one DFS per query. par=1 is a
-	// sequential loop; par=0 runs the real CountAll worker pool (one worker
-	// per core), the serving configuration.
-	for _, par := range []int{1, 0} {
-		par := par
-		slabNs, slabAllocs, slabBytes := benchNs(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = slabCountAll(slab, batch, par)
-			}
-		})
-		emit(queryRow{
-			Name: fmt.Sprintf("countall/kd-h8-batch960/slab/par=%d", par),
-			Op:   "countall", Engine: "slab", Parallelism: par,
-			NsPerOp: slabNs, AllocsPerOp: slabAllocs, BytesPerOp: slabBytes,
-			QueriesPerSec: float64(len(batch)) * 1e9 / slabNs,
 		})
 	}
 
@@ -336,7 +314,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		return err
 	}
 
-	// serve.Release.Count with the cache off: the handler-level hot path
+	// serve.Release.CountCtx with the cache off: the handler-level hot path
 	// must not allocate either.
 	reg := serve.NewRegistry(0)
 	var artifact bytes.Buffer
@@ -347,11 +325,12 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	if err != nil {
 		return err
 	}
-	q := batch[0]
-	rel.Count(q)
+	ctx := context.Background()
+	q := qs.Rects[0]
+	rel.CountCtx(ctx, q)
 	srvNs, srvAllocs, srvBytes := benchNs(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rel.Count(q)
+			rel.CountCtx(ctx, q)
 		}
 	})
 	emit(queryRow{
@@ -359,7 +338,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		NsPerOp: srvNs, AllocsPerOp: srvAllocs, BytesPerOp: srvBytes,
 	})
 
-	// serve.Release.CountBatchInto with the cache off: the /batch handler's
+	// serve.Release.CountBatchIntoCtx with the cache off: the /batch handler's
 	// engine call on a saturated replica, where it runs one worker. Every
 	// rectangle is a miss, so the whole batch runs through one single-worker
 	// node-major call per request; the acceptance bar is 0 allocs/op
@@ -367,10 +346,10 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	// none happen).
 	srvBatch := uniq.Rects[:256]
 	srvVals := make([]float64, len(srvBatch))
-	rel.CountBatchInto(srvVals, srvBatch) // warm the pools
+	rel.CountBatchIntoCtx(ctx, srvVals, srvBatch, 1) // warm the pools
 	sbNs, sbAllocs, sbBytes := benchNs(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rel.CountBatchInto(srvVals, srvBatch)
+			rel.CountBatchIntoCtx(ctx, srvVals, srvBatch, 1)
 		}
 	})
 	emit(queryRow{
@@ -446,21 +425,6 @@ func deepBatchRows(env *eval.Env, slab *psd.Slab, seed int64, emit func(queryRow
 		})
 	}
 	return nil
-}
-
-// slabCountAll pins the measured path: workers == 1 is an explicit
-// sequential loop, anything else goes through the CountAll worker pool
-// (one worker per core) — so the par=0 rows really measure the pool even
-// on machines the treeCountAll helper would run inline.
-func slabCountAll(s *psd.Slab, qs []psd.Rect, workers int) []float64 {
-	if workers == 1 {
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = s.Count(q)
-		}
-		return out
-	}
-	return s.CountAll(qs)
 }
 
 // writeToFile streams write into a fresh file at path, through the

@@ -303,8 +303,11 @@ func (s *server) publishLoop(ctx context.Context, interval time.Duration) {
 const maxIngestBody = 64 << 20
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	// Points are decoded as slices, not [2]float64: the decoder would
+	// zero-fill a short array and drop an extra element, and a fabricated
+	// point would be fsync'd, published and charged ε like a real one.
 	var req struct {
-		Points [][2]float64 `json:"points"`
+		Points [][]float64 `json:"points"`
 	}
 	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -323,6 +326,10 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	pts := make([]psd.Point, len(req.Points))
 	for i, p := range req.Points {
+		if len(p) != 2 {
+			daemon.WriteError(w, http.StatusBadRequest, "point %d: want 2 numbers, got %d", i, len(p))
+			return
+		}
 		pts[i] = psd.Point{X: p[0], Y: p[1]}
 	}
 	total, err := s.in.Ingest(pts)

@@ -69,6 +69,20 @@ func postBody(t *testing.T, url string, body []byte, wantStatus int, out any) {
 	}
 }
 
+func daemonStats(t *testing.T, url string) ingest.Stats {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st ingest.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func ingestBody(n int, salt float64) []byte {
 	pts := make([][2]float64, n)
 	for i := range pts {
@@ -100,6 +114,19 @@ func TestDaemonHTTPSurface(t *testing.T) {
 	postBody(t, srv.URL+"/ingest", []byte(`{"points":[]}`), http.StatusBadRequest, nil)
 	nan, _ := json.Marshal(map[string]any{"points": []any{[]any{1.0, "NaN"}}})
 	postBody(t, srv.URL+"/ingest", nan, http.StatusBadRequest, nil)
+	// A point is exactly two numbers: an empty, short, long or null point
+	// rejects the whole batch, never zero-filled or truncated into (0,0).
+	for _, body := range []string{
+		`{"points":[[]]}`,
+		`{"points":[[5]]}`,
+		`{"points":[[1,1],[1,2,3]]}`,
+		`{"points":[[1,1],null]}`,
+	} {
+		postBody(t, srv.URL+"/ingest", []byte(body), http.StatusBadRequest, nil)
+	}
+	if st := daemonStats(t, srv.URL); st.Points != 100 {
+		t.Fatalf("rejected batches moved /stats points to %d, want 100", st.Points)
+	}
 
 	var pub struct {
 		Version int    `json:"version"`
@@ -117,15 +144,7 @@ func TestDaemonHTTPSurface(t *testing.T) {
 	// No new points since v1: refuse rather than burn ε on a no-op.
 	postBody(t, srv.URL+"/publish", nil, http.StatusConflict, nil)
 
-	var st ingest.Stats
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	st := daemonStats(t, srv.URL)
 	if st.Points != 100 || st.LatestVersion != 1 || st.Spent != 1 || st.IngestErrors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}

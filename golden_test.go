@@ -119,7 +119,7 @@ func TestGoldenReleases(t *testing.T) {
 
 // TestGoldenBinaryReleases keeps the read-only format v2 honest: every
 // committed release_<kind>.bin must decode and answer the golden_queries.json
-// rectangles bit-identically — values and CountBatchInto statistics — to the
+// rectangles bit-identically — values and CountBatchIntoWorkers statistics — to the
 // JSON and v3 fixtures and to the builder's tree, list the same Regions, and
 // convert losslessly to both written formats.
 func TestGoldenBinaryReleases(t *testing.T) {
@@ -144,10 +144,10 @@ func TestGoldenBinaryReleases(t *testing.T) {
 			tree := goldenBuild(t, g.kind)
 
 			want := make([]float64, len(qs))
-			wantSt := jsonSlab.CountBatchInto(want, qs)
+			wantSt := jsonSlab.CountBatchIntoWorkers(want, qs, 0)
 			for name, s := range map[string]*Slab{"v2": v2, "v3": v3} {
 				got := make([]float64, len(qs))
-				if st := s.CountBatchInto(got, qs); st != wantSt {
+				if st := s.CountBatchIntoWorkers(got, qs, 0); st != wantSt {
 					t.Errorf("%s: batch stats %+v, JSON fixture %+v", name, st, wantSt)
 				}
 				for i, q := range qs {

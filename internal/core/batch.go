@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 
 	"psd/internal/geom"
@@ -134,31 +135,46 @@ func (s *Slab) putBatchState(bs *batchState) { s.batchStates.Put(bs) }
 // batches). Answers come back in input order and are bit-identical to
 // issuing each Query alone.
 func (s *Slab) CountBatch(qs []geom.Rect) []float64 {
-	return s.CountBatchWorkers(qs, 0)
-}
-
-// CountBatchWorkers is CountBatch with an explicit worker bound (0 = one
-// per core, 1 = a single traversal on the caller's goroutine).
-func (s *Slab) CountBatchWorkers(qs []geom.Rect, workers int) []float64 {
 	out := make([]float64, len(qs))
-	s.CountBatchInto(out, qs, workers)
+	s.ensureOpen()
+	s.countBatchInto(out, qs, 0, nil, nil)
 	return out
 }
 
 // CountBatchInto answers qs into out (whose length must match) and returns
 // the batch's aggregate traversal statistics — exactly the sum of the
-// QueryStats each individual Query would report. With workers <= 1 the
-// steady-state call performs no allocations: all traversal state comes
-// from pooled scratch.
+// QueryStats each individual Query would report. workers bounds the
+// traversal goroutines (0 = one per core, 1 = a single traversal on the
+// caller's goroutine).
 //
 // Large batches are sharded across workers after locality clustering:
 // queries are pre-grouped by subtree (Morton order of their centers, whose
 // leading bits pick the depth-2 subtree), so each shard's active lists
 // stay dense and the slab streams near-sequentially. Answers and
 // statistics are identical at every worker count.
-func (s *Slab) CountBatchInto(out []float64, qs []geom.Rect, workers int) QueryStats {
+//
+// ctx is polled by every traversal worker at bounded checkpoints, and the
+// call returns ctx.Err() — with out undefined — if any worker observed the
+// deadline firing mid-traversal. A batch whose traversal ran to completion
+// is returned even if the deadline expires on the way out: the answers are
+// complete and valid. A context that can never be cancelled (Done() is
+// nil) runs the plain path: with workers <= 1 the steady-state call then
+// performs no allocations, all traversal state coming from pooled scratch.
+func (s *Slab) CountBatchInto(ctx context.Context, out []float64, qs []geom.Rect, workers int) (QueryStats, error) {
 	s.ensureOpen()
-	return s.countBatchInto(out, qs, workers, nil, nil)
+	if err := ctx.Err(); err != nil {
+		return QueryStats{}, err
+	}
+	done := ctx.Done()
+	if done == nil {
+		return s.countBatchInto(out, qs, workers, nil, nil), nil
+	}
+	fired := new(atomic.Bool)
+	st := s.countBatchInto(out, qs, workers, done, fired)
+	if fired.Load() {
+		return QueryStats{}, ctx.Err()
+	}
+	return st, nil
 }
 
 // batchCancelToken builds one worker's deadline token over the batch's
@@ -171,7 +187,7 @@ func batchCancelToken(done <-chan struct{}, fired *atomic.Bool) *cancelToken {
 }
 
 // countBatchInto is the batch engine proper. done, when non-nil, is the
-// caller's cancellation channel (CountBatchIntoCtx): every traversal worker
+// caller's cancellation channel (CountBatchInto's ctx): every traversal worker
 // polls it at bounded checkpoints through its own cancelToken and unwinds
 // when it fires, latching fired so the caller knows the output is partial
 // and must be discarded. With done == nil this is exactly the plain path.
@@ -227,23 +243,7 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 	radixSortByKey(order, bs.tmp[:n], keys)
 
 	if w <= 1 {
-		sc := s.getBatchScratch()
-		if cap(sc.qbuf) < n {
-			sc.qbuf = make([]geom.Rect, n)
-			sc.abuf = make([]float64, n)
-		}
-		qb, acc := sc.qbuf[:n], sc.abuf[:n]
-		for i, qi := range order {
-			qb[i] = qs[qi]
-			acc[i] = 0
-		}
-		sc.qb, sc.acc = qb, acc
-		sc.cancel = batchCancelToken(done, fired)
-		s.countBatchShard(sc, &st)
-		for i, qi := range order {
-			out[qi] = acc[i]
-		}
-		s.putBatchScratch(sc)
+		s.countBatchShardInto(out, qs, order, &st, done, fired)
 		s.putBatchState(bs)
 		return st
 	}
@@ -270,25 +270,7 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 			if h := batchWorkerHook.Load(); h != nil {
 				(*h)(k)
 			}
-			sc := s.getBatchScratch()
-			ids := order[lo:hi]
-			m := len(ids)
-			if cap(sc.qbuf) < m {
-				sc.qbuf = make([]geom.Rect, m)
-				sc.abuf = make([]float64, m)
-			}
-			qb, acc := sc.qbuf[:m], sc.abuf[:m]
-			for i, qi := range ids {
-				qb[i] = qs[qi]
-				acc[i] = 0
-			}
-			sc.qb, sc.acc = qb, acc
-			sc.cancel = batchCancelToken(done, fired)
-			s.countBatchShard(sc, &stats[k])
-			for i, qi := range ids {
-				out[qi] = acc[i]
-			}
-			s.putBatchScratch(sc)
+			s.countBatchShardInto(out, qs, order[lo:hi], &stats[k], done, fired)
 		})
 	}
 	g.Wait()
@@ -299,6 +281,32 @@ func (s *Slab) countBatchInto(out []float64, qs []geom.Rect, workers int, done <
 	}
 	s.putBatchState(bs)
 	return st
+}
+
+// countBatchShardInto answers the queries ids names (positions in qs, in
+// clustered order) into out: it copies them into a pooled scratch, runs one
+// node-major traversal over them, and scatters the answers back. The
+// single-worker path calls it inline, each shard worker calls it on its own
+// disjoint ids, so shards never write the same out slot.
+func (s *Slab) countBatchShardInto(out []float64, qs []geom.Rect, ids []int32, st *QueryStats, done <-chan struct{}, fired *atomic.Bool) {
+	sc := s.getBatchScratch()
+	m := len(ids)
+	if cap(sc.qbuf) < m {
+		sc.qbuf = make([]geom.Rect, m)
+		sc.abuf = make([]float64, m)
+	}
+	qb, acc := sc.qbuf[:m], sc.abuf[:m]
+	for i, qi := range ids {
+		qb[i] = qs[qi]
+		acc[i] = 0
+	}
+	sc.qb, sc.acc = qb, acc
+	sc.cancel = batchCancelToken(done, fired)
+	s.countBatchShard(sc, st)
+	for i, qi := range ids {
+		out[qi] = acc[i]
+	}
+	s.putBatchScratch(sc)
 }
 
 // batchWorkerHook, when set, runs first in every sharded batch worker with

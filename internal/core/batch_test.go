@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"psd/internal/geom"
+	"psd/internal/rng"
 )
 
 // testRand returns a cheap deterministic xorshift generator of floats in
@@ -60,7 +62,8 @@ func sumStats(q interface {
 // TestCountBatchMatchesPerQuery pins the tentpole invariant: the node-major
 // batch engine answers every query bit-identically to the per-query path —
 // answers AND aggregate traversal statistics — across every decomposition
-// family, pruning, partial publication, and worker count.
+// family, pruning, partial publication, and worker count; under -race the
+// sharded cases also exercise the concurrent read path.
 func TestCountBatchMatchesPerQuery(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 7)
@@ -69,52 +72,105 @@ func TestCountBatchMatchesPerQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Kind, err)
 		}
-		s := p.Seal()
-		qs := batchTestQueries(dom, 300, int64(cfg.Seed))
-		wantV, wantSt := sumStats(s, qs)
+		checkBatchMatchesPerQuery(t, cfg.Kind.String(), p, batchTestQueries(dom, 300, int64(cfg.Seed)))
+	}
 
-		// The arena reference agrees too (slab is pinned to it, but assert
-		// the whole chain here for the batch path).
-		arenaV, arenaSt := sumStats(arenaRef{p}, qs)
-		for i := range wantV {
-			if arenaV[i] != wantV[i] {
-				t.Fatalf("%v: arena Query[%d] = %v, slab %v", cfg.Kind, i, arenaV[i], wantV[i])
-			}
+	// A deeper hybrid tree under rects that stray outside the domain.
+	wide := geom.NewRect(0, 0, 100, 100)
+	p, err := Build(randomPoints(5000, wide, 111), wide, Config{Kind: Hybrid, Height: 5, Epsilon: 0.5, Seed: 7, PostProcess: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(13)
+	qs := make([]geom.Rect, 300)
+	for i := range qs {
+		x1, x2 := src.UniformIn(-5, 105), src.UniformIn(-5, 105)
+		y1, y2 := src.UniformIn(-5, 105), src.UniformIn(-5, 105)
+		if x2 < x1 {
+			x1, x2 = x2, x1
 		}
-		if arenaSt != wantSt {
-			t.Fatalf("%v: arena stats %+v, slab %+v", cfg.Kind, arenaSt, wantSt)
+		if y2 < y1 {
+			y1, y2 = y2, y1
 		}
+		qs[i] = geom.NewRect(x1, y1, x2+1e-9, y2+1e-9)
+	}
+	checkBatchMatchesPerQuery(t, "hybrid-h5-out-of-domain", p, qs)
 
-		for _, workers := range []int{1, 2, 3, 8, 0} {
-			out := make([]float64, len(qs))
-			st := s.CountBatchInto(out, qs, workers)
-			for i := range wantV {
-				if out[i] != wantV[i] {
-					t.Fatalf("%v workers=%d: CountBatch[%d] = %v, per-query %v (rect %v)",
-						cfg.Kind, workers, i, out[i], wantV[i], qs[i])
-				}
-			}
-			if st != wantSt {
-				t.Fatalf("%v workers=%d: batch stats %+v, per-query sum %+v",
-					cfg.Kind, workers, st, wantSt)
-			}
-		}
+	// A pruned hybrid tree under a batch that repeats every rect.
+	small := geom.NewRect(0, 0, 64, 64)
+	p, err = Build(randomPoints(2048, small, 41), small, Config{Kind: Hybrid, Height: 4, Epsilon: 0.5, Seed: 42, PostProcess: true, PruneThreshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := slabTestQueries(small)
+	qs = make([]geom.Rect, 64)
+	for i := range qs {
+		qs[i] = base[i%len(base)]
+	}
+	checkBatchMatchesPerQuery(t, "hybrid-pruned-repeats", p, qs)
+}
 
-		// The allocating wrapper and the PSD's lazily sealed slab agree.
-		for i, v := range s.CountBatch(qs) {
-			if v != wantV[i] {
-				t.Fatalf("%v: Slab.CountBatch[%d] = %v, want %v", cfg.Kind, i, v, wantV[i])
-			}
-		}
-		for i, v := range p.Sealed().CountBatch(qs) {
-			if v != wantV[i] {
-				t.Fatalf("%v: PSD.Sealed().CountBatch[%d] = %v, want %v", cfg.Kind, i, v, wantV[i])
-			}
-		}
-		if pst := p.Sealed().CountBatchInto(make([]float64, len(qs)), qs, 2); pst != wantSt {
-			t.Fatalf("%v: PSD batch stats %+v, want %+v", cfg.Kind, pst, wantSt)
+// checkBatchMatchesPerQuery answers qs on p's sealed slab one Query at a
+// time (itself pinned to the arena reference), then requires the batch
+// engine to reproduce every answer and the summed statistics at every
+// worker count, through every batch entry point.
+func checkBatchMatchesPerQuery(t *testing.T, name string, p *PSD, qs []geom.Rect) {
+	t.Helper()
+	s := p.Seal()
+	wantV, wantSt := sumStats(s, qs)
+
+	// The arena reference agrees too (slab is pinned to it, but assert
+	// the whole chain here for the batch path).
+	arenaV, arenaSt := sumStats(arenaRef{p}, qs)
+	for i := range wantV {
+		if arenaV[i] != wantV[i] {
+			t.Fatalf("%s: arena Query[%d] = %v, slab %v", name, i, arenaV[i], wantV[i])
 		}
 	}
+	if arenaSt != wantSt {
+		t.Fatalf("%s: arena stats %+v, slab %+v", name, arenaSt, wantSt)
+	}
+
+	for _, workers := range []int{1, 2, 3, 8, 16, 0} {
+		out := make([]float64, len(qs))
+		st := batchInto(t, s, out, qs, workers)
+		for i := range wantV {
+			if out[i] != wantV[i] {
+				t.Fatalf("%s workers=%d: CountBatch[%d] = %v, per-query %v (rect %v)",
+					name, workers, i, out[i], wantV[i], qs[i])
+			}
+		}
+		if st != wantSt {
+			t.Fatalf("%s workers=%d: batch stats %+v, per-query sum %+v",
+				name, workers, st, wantSt)
+		}
+	}
+
+	// The allocating wrapper and the PSD's lazily sealed slab agree.
+	for i, v := range s.CountBatch(qs) {
+		if v != wantV[i] {
+			t.Fatalf("%s: Slab.CountBatch[%d] = %v, want %v", name, i, v, wantV[i])
+		}
+	}
+	for i, v := range p.Sealed().CountBatch(qs) {
+		if v != wantV[i] {
+			t.Fatalf("%s: PSD.Sealed().CountBatch[%d] = %v, want %v", name, i, v, wantV[i])
+		}
+	}
+	if pst := batchInto(t, p.Sealed(), make([]float64, len(qs)), qs, 2); pst != wantSt {
+		t.Fatalf("%s: PSD batch stats %+v, want %+v", name, pst, wantSt)
+	}
+}
+
+// batchInto runs CountBatchInto under a context that is never cancelled,
+// where an error is a bug.
+func batchInto(t testing.TB, s *Slab, out []float64, qs []geom.Rect, workers int) QueryStats {
+	t.Helper()
+	st, err := s.CountBatchInto(context.Background(), out, qs, workers)
+	if err != nil {
+		t.Fatalf("CountBatchInto(workers=%d): %v", workers, err)
+	}
+	return st
 }
 
 // TestCountBatchMatchesOnRelease pins the batch engine on slabs opened from
@@ -136,7 +192,7 @@ func TestCountBatchMatchesOnRelease(t *testing.T) {
 		wantV, wantSt := sumStats(slab, qs)
 		for _, workers := range []int{1, 4, 0} {
 			out := make([]float64, len(qs))
-			st := slab.CountBatchInto(out, qs, workers)
+			st := batchInto(t, slab, out, qs, workers)
 			for i := range wantV {
 				if out[i] != wantV[i] {
 					t.Fatalf("%v workers=%d: release CountBatch[%d] = %v, want %v",
@@ -166,14 +222,14 @@ func TestCountBatchEdgeCases(t *testing.T) {
 		t.Fatalf("empty batch returned %d answers", len(got))
 	}
 	var zero QueryStats
-	if st := s.CountBatchInto(nil, nil, 0); st != zero {
+	if st := batchInto(t, s, nil, nil, 0); st != zero {
 		t.Fatalf("empty batch stats %+v", st)
 	}
 
 	q := slabTestQueries(dom)[2]
 	want, wantSt := s.QueryWithStats(q)
 	one := make([]float64, 1)
-	if st := s.CountBatchInto(one, []geom.Rect{q}, 0); one[0] != want || st != wantSt {
+	if st := batchInto(t, s, one, []geom.Rect{q}, 0); one[0] != want || st != wantSt {
 		t.Fatalf("single-query batch = %v/%+v, want %v/%+v", one[0], st, want, wantSt)
 	}
 
@@ -184,7 +240,7 @@ func TestCountBatchEdgeCases(t *testing.T) {
 		dup[i] = q
 	}
 	out := make([]float64, len(dup))
-	st := s.CountBatchInto(out, dup, 0)
+	st := batchInto(t, s, out, dup, 0)
 	for i, v := range out {
 		if v != want {
 			t.Fatalf("dup batch [%d] = %v, want %v", i, v, want)
@@ -201,7 +257,7 @@ func TestCountBatchEdgeCases(t *testing.T) {
 			t.Fatal("mismatched output length did not panic")
 		}
 	}()
-	s.CountBatchInto(make([]float64, 2), dup, 0)
+	s.CountBatchInto(context.Background(), make([]float64, 2), dup, 0)
 }
 
 // TestCountBatchIntoOverwrites pins that CountBatchInto treats dst as
@@ -224,7 +280,7 @@ func TestCountBatchIntoOverwrites(t *testing.T) {
 		for i := range out {
 			out[i] = math.NaN()
 		}
-		s.CountBatchInto(out, qs, workers)
+		batchInto(t, s, out, qs, workers)
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("workers=%d: stale dst leaked: [%d] = %v, want %v", workers, i, out[i], want[i])
@@ -248,9 +304,10 @@ func TestCountBatchAllocs(t *testing.T) {
 	s := p.Seal()
 	qs := batchTestQueries(dom, 256, 17)
 	out := make([]float64, len(qs))
-	s.CountBatchInto(out, qs, 1) // warm the scratch pool
+	ctx := context.Background()
+	s.CountBatchInto(ctx, out, qs, 1) // warm the scratch pool
 	if avg := testing.AllocsPerRun(20, func() {
-		s.CountBatchInto(out, qs, 1)
+		s.CountBatchInto(ctx, out, qs, 1)
 	}); avg != 0 {
 		t.Fatalf("CountBatchInto(workers=1) allocates %.1f/op, want 0", avg)
 	}

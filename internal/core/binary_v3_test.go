@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -287,7 +288,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 		ref := p.Sealed()
 		qs := slabTestQueries(dom)
 		wantOut := make([]float64, len(qs))
-		wantSt := ref.CountBatchInto(wantOut, qs, 1)
+		wantSt := batchInto(t, ref, wantOut, qs, 1)
 		wantRects, wantCounts := ref.LeafRegions()
 		for name, s := range slabs {
 			for _, q := range qs {
@@ -300,7 +301,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				out := make([]float64, len(qs))
-				st := s.CountBatchInto(out, qs, workers)
+				st := batchInto(t, s, out, qs, workers)
 				if st != wantSt {
 					t.Errorf("%v/%s: batch stats %+v, want %+v", cfg.Kind, name, st, wantSt)
 				}
@@ -372,7 +373,7 @@ func TestSlabClose(t *testing.T) {
 			uses := map[string]func(){
 				"Query":          func() { s.Query(q) },
 				"QueryWithStats": func() { s.QueryWithStats(q) },
-				"CountBatchInto": func() { s.CountBatchInto(make([]float64, 1), []geom.Rect{q}, 1) },
+				"CountBatchInto": func() { s.CountBatchInto(context.Background(), make([]float64, 1), []geom.Rect{q}, 1) },
 				"LeafRegions":    func() { s.LeafRegions() },
 				"Verify":         func() { s.Verify() },
 				"WriteBinaryV3":  func() { s.WriteBinaryV3(io.Discard) },

@@ -12,13 +12,13 @@ import (
 // batch over a deep slab walks millions of node records, and a serving
 // replica that cannot abandon a request past its deadline ties up a core
 // that a within-deadline request could have used. The traversal engines
-// therefore accept a context through the *Ctx entry points and poll it at
+// therefore accept a context (QueryCtx, CountBatchInto) and poll it at
 // bounded checkpoints: every cancelCheckInterval node visits, the walk
 // checks the context's done channel and unwinds if it fired.
 //
-// The plain (context-free) entry points pass a nil token and pay one
-// predictable nil-check branch per checkpoint site — nothing else changes
-// on the hot path, and answers remain bit-identical.
+// The plain entry points (and a context whose Done() is nil) pass a nil
+// token and pay one predictable nil-check branch per checkpoint site —
+// nothing else changes on the hot path, and answers remain bit-identical.
 
 // cancelCheckInterval is the number of node visits between deadline polls.
 // Polling is a channel select (~tens of ns); at this interval the poll cost
@@ -106,27 +106,4 @@ func (s *Slab) QueryCtx(ctx context.Context, q geom.Rect) (float64, error) {
 		return 0, ctx.Err()
 	}
 	return sum, nil
-}
-
-// CountBatchIntoCtx is CountBatchInto honoring ctx: every traversal worker
-// polls for cancellation at bounded checkpoints, and the call returns
-// ctx.Err() — with out undefined — if any worker observed the deadline
-// firing mid-traversal. A batch whose traversal ran to completion is
-// returned even if the deadline expires on the way out: the answers are
-// complete and valid.
-func (s *Slab) CountBatchIntoCtx(ctx context.Context, out []float64, qs []geom.Rect, workers int) (QueryStats, error) {
-	s.ensureOpen()
-	if err := ctx.Err(); err != nil {
-		return QueryStats{}, err
-	}
-	done := ctx.Done()
-	if done == nil {
-		return s.CountBatchInto(out, qs, workers), nil
-	}
-	var fired atomic.Bool
-	st := s.countBatchInto(out, qs, workers, done, &fired)
-	if fired.Load() {
-		return QueryStats{}, ctx.Err()
-	}
-	return st, nil
 }

@@ -44,7 +44,8 @@ func TestQueryCtxMatchesQuery(t *testing.T) {
 
 // TestCountBatchIntoCtxMatchesPlain pins the batch-side contract: a live
 // context changes nothing — answers and statistics are bit-identical to
-// CountBatchInto at every worker count — and a cancelled context errors.
+// the plain path a never-cancelled context runs, at every worker count —
+// and a cancelled context errors.
 func TestCountBatchIntoCtxMatchesPlain(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(2048, dom, 13)
@@ -56,14 +57,14 @@ func TestCountBatchIntoCtxMatchesPlain(t *testing.T) {
 		s := p.Seal()
 		qs := batchTestQueries(dom, 200, int64(cfg.Seed))
 		want := make([]float64, len(qs))
-		wantSt := s.CountBatchInto(want, qs, 0)
+		wantSt := batchInto(t, s, want, qs, 0)
 		live, cancel := context.WithCancel(context.Background())
 		for _, workers := range []int{1, 2, 0} {
 			for _, ctx := range []context.Context{context.Background(), live} {
 				out := make([]float64, len(qs))
-				st, err := s.CountBatchIntoCtx(ctx, out, qs, workers)
+				st, err := s.CountBatchInto(ctx, out, qs, workers)
 				if err != nil {
-					t.Fatalf("%v workers=%d: CountBatchIntoCtx: %v", cfg.Kind, workers, err)
+					t.Fatalf("%v workers=%d: CountBatchInto: %v", cfg.Kind, workers, err)
 				}
 				if st != wantSt {
 					t.Fatalf("%v workers=%d: ctx batch stats %+v, want %+v", cfg.Kind, workers, st, wantSt)
@@ -76,8 +77,8 @@ func TestCountBatchIntoCtxMatchesPlain(t *testing.T) {
 			}
 		}
 		cancel()
-		if _, err := s.CountBatchIntoCtx(live, make([]float64, len(qs)), qs, 0); err != context.Canceled {
-			t.Fatalf("%v: CountBatchIntoCtx(cancelled) err = %v, want context.Canceled", cfg.Kind, err)
+		if _, err := s.CountBatchInto(live, make([]float64, len(qs)), qs, 0); err != context.Canceled {
+			t.Fatalf("%v: CountBatchInto(cancelled) err = %v, want context.Canceled", cfg.Kind, err)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestDegenerateRectsPinnedAcrossEngines(t *testing.T) {
 		}
 		for _, workers := range []int{1, 0} {
 			out := make([]float64, len(qs))
-			st := s.CountBatchInto(out, qs, workers)
+			st := batchInto(t, s, out, qs, workers)
 			for i := range qs {
 				if out[i] != want[i] {
 					t.Errorf("%v workers=%d: batch[%d] %v = %v, per-query %v",
@@ -86,7 +86,7 @@ func TestDegenerateRectsPinnedAcrossEngines(t *testing.T) {
 		// fusion paths see them next to dense work).
 		mixed := append(append([]geom.Rect{}, qs...), slabTestQueries(dom)...)
 		out := make([]float64, len(mixed))
-		s.CountBatchInto(out, mixed, 0)
+		batchInto(t, s, out, mixed, 0)
 		for i := range qs {
 			if out[i] != want[i] {
 				t.Errorf("%v: mixed batch[%d] %v = %v, want %v", cfg.Kind, i, qs[i], out[i], want[i])

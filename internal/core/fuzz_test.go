@@ -242,7 +242,7 @@ func FuzzCountBatch(f *testing.F) {
 			}
 			for _, workers := range []int{1, 3, 0} {
 				out := make([]float64, len(qs))
-				st := s.CountBatchInto(out, qs, workers)
+				st := batchInto(t, s, out, qs, workers)
 				for i := range want {
 					if out[i] != want[i] {
 						t.Fatalf("workers=%d: CountBatch[%d](%v) = %v, per-query %v",

@@ -145,45 +145,6 @@ func TestLegacyFinderForcesSequentialDeterminism(t *testing.T) {
 	nodesEqual(t, "seq-only", build(), build())
 }
 
-// CountAll must agree exactly with one-at-a-time Query whatever the worker
-// count; under -race this also exercises the concurrent read path.
-func TestCountAllMatchesQuery(t *testing.T) {
-	dom := geom.NewRect(0, 0, 100, 100)
-	pts := randomPoints(5000, dom, 111)
-	p, err := Build(pts, dom, Config{Kind: Hybrid, Height: 5, Epsilon: 0.5, Seed: 7, PostProcess: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(13)
-	qs := make([]geom.Rect, 300)
-	for i := range qs {
-		x1, x2 := src.UniformIn(-5, 105), src.UniformIn(-5, 105)
-		y1, y2 := src.UniformIn(-5, 105), src.UniformIn(-5, 105)
-		if x2 < x1 {
-			x1, x2 = x2, x1
-		}
-		if y2 < y1 {
-			y1, y2 = y2, y1
-		}
-		qs[i] = geom.NewRect(x1, y1, x2+1e-9, y2+1e-9)
-	}
-	s := p.Sealed()
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := s.CountAllWorkers(qs, workers)
-		if len(got) != len(qs) {
-			t.Fatalf("workers=%d: %d answers for %d queries", workers, len(got), len(qs))
-		}
-		for i, q := range qs {
-			if want := s.Query(q); got[i] != want {
-				t.Fatalf("workers=%d query %d: CountAll=%v Query=%v", workers, i, got[i], want)
-			}
-		}
-	}
-	if out := s.CountAll(nil); len(out) != 0 {
-		t.Errorf("CountAll(nil) = %v, want empty", out)
-	}
-}
-
 // The slab's iterative LeafRegions must reproduce the recursive arena
 // reference order and its capacity pre-sizing must be exact (no realloc, no
 // slack).

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"psd/internal/geom"
-	"psd/internal/par"
 	"psd/internal/tree"
 )
 
@@ -413,29 +412,6 @@ func (s *Slab) QueryWithStats(q geom.Rect) (float64, QueryStats) {
 	sum := s.queryIter(q, stack, &st, nil)
 	s.putStack(stack)
 	return sum, st
-}
-
-// CountAll answers a batch of range queries, spreading them across one
-// worker per available core. Answers come back in input order and are
-// identical to issuing each Query alone.
-func (s *Slab) CountAll(qs []geom.Rect) []float64 {
-	return s.CountAllWorkers(qs, 0)
-}
-
-// CountAllWorkers is CountAll with an explicit worker bound (0 = one per
-// core, 1 = inline on the caller's goroutine).
-func (s *Slab) CountAllWorkers(qs []geom.Rect, workers int) []float64 {
-	s.ensureOpen()
-	out := make([]float64, len(qs))
-	par.For(par.Workers(workers), 0, len(qs), 8, func(lo, hi int) {
-		stack := s.getStack()
-		var st QueryStats
-		for i := lo; i < hi; i++ {
-			out[i] = s.queryIter(qs[i], stack, &st, nil)
-		}
-		s.putStack(stack)
-	})
-	return out
 }
 
 // Stack entries pack the node's identity into an int32. The low bit is the

@@ -169,41 +169,6 @@ func TestSlabReleaseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlabCountAllDeterministic pins batch answers to the sequential ones
-// at every worker count — the parallel-determinism guarantee the build
-// already makes, extended to the slab read path.
-func TestSlabCountAllDeterministic(t *testing.T) {
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(2048, dom, 41)
-	p, err := Build(pts, dom, Config{Kind: Hybrid, Height: 4, Epsilon: 0.5, Seed: 42, PostProcess: true, PruneThreshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Seal()
-	qs := make([]geom.Rect, 0, 64)
-	for i := 0; i < 64; i++ {
-		base := slabTestQueries(dom)
-		qs = append(qs, base[i%len(base)])
-	}
-	want := make([]float64, len(qs))
-	for i, q := range qs {
-		want[i] = s.Query(q)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 0} {
-		got := s.CountAllWorkers(qs, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: CountAll[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-	for i, q := range qs {
-		if a := (arenaRef{p}).Query(q); a != want[i] {
-			t.Fatalf("arena reference [%d] = %v, slab %v", i, a, want[i])
-		}
-	}
-}
-
 // TestSlabConcurrentQueries hammers the pooled-stack path from many
 // goroutines (run with -race in CI): answers must stay exact.
 func TestSlabConcurrentQueries(t *testing.T) {

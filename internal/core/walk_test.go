@@ -157,7 +157,7 @@ func TestWalkMatchesArena(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 0} {
 			out := make([]float64, len(qs))
-			st := s.CountBatchInto(out, qs, workers)
+			st := batchInto(t, s, out, qs, workers)
 			for i := range qs {
 				if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s workers=%d: batch[%d] %v = %v, per-query %v", c.name, workers, i, qs[i], out[i], want[i])

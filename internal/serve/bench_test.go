@@ -2,12 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"psd"
 )
 
-// BenchmarkServeCount measures Release.Count — the full serving hot path
+// BenchmarkServeCount measures Release.CountCtx — the full serving hot path
 // under the HTTP handler (cache lookup, slab query, stats) — with the
 // cache disabled (every call runs the query engine) and with a warm cache.
 // Allocs are the headline: the acceptance bar is 0 allocs/op for both.
@@ -32,17 +33,18 @@ func BenchmarkServeCount(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rel.Count(q) // warm the cache (and the stack pool)
+			ctx := context.Background()
+			rel.CountCtx(ctx, q) // warm the cache (and the stack pool)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel.Count(q)
+				rel.CountCtx(ctx, q)
 			}
 		})
 	}
 }
 
-// BenchmarkServeBatch measures Release.CountBatchInto — the engine call
+// BenchmarkServeBatch measures Release.CountBatchIntoCtx — the engine call
 // behind the /batch endpoint — at serving batch sizes, with the cache off
 // (every rectangle runs through one node-major engine call) and fully warm
 // (every rectangle is a hit). Allocs are the headline: the acceptance bar
@@ -78,12 +80,13 @@ func BenchmarkServeBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ctx := context.Background()
 			vals := make([]float64, len(qs))
-			rel.CountBatchInto(vals, qs) // warm the cache and the pools
+			rel.CountBatchIntoCtx(ctx, vals, qs, 1) // warm the cache and the pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel.CountBatchInto(vals, qs)
+				rel.CountBatchIntoCtx(ctx, vals, qs, 1)
 			}
 			b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})

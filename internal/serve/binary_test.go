@@ -64,14 +64,14 @@ func TestRegisterBinaryArtifact(t *testing.T) {
 		psd.NewRect(47, 47, 53, 53),
 	} {
 		want := tree.Count(q)
-		if got, _ := binRel.Count(q); got != want {
+		if got, _ := countOf(t, binRel, q); got != want {
 			t.Errorf("binary release Count(%v) = %v, want %v", q, got, want)
 		}
-		if got, _ := jsonRel.Count(q); got != want {
+		if got, _ := countOf(t, jsonRel, q); got != want {
 			t.Errorf("json release Count(%v) = %v, want %v", q, got, want)
 		}
-		gotV2, _ := goldV2.Count(q)
-		if wantV2, _ := goldJSON.Count(q); gotV2 != wantV2 {
+		gotV2, _ := countOf(t, goldV2, q)
+		if wantV2, _ := countOf(t, goldJSON, q); gotV2 != wantV2 {
 			t.Errorf("v2 golden Count(%v) = %v, JSON golden %v", q, gotV2, wantV2)
 		}
 	}
@@ -96,7 +96,7 @@ func TestRegisterBinaryArtifact(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/releases/gold", goldenFile(t, "release_quadtree.bin"), http.StatusCreated, &info)
 	getJSON(t, fmt.Sprintf("%s/v1/releases/gold/count?rect=%g,%g,%g,%g",
 		srv.URL, q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y), http.StatusOK, &single)
-	if want, _ := goldJSON.Count(q); single.Count != want {
+	if want, _ := countOf(t, goldJSON, q); single.Count != want {
 		t.Fatalf("served v2 golden count %v, want %v", single.Count, want)
 	}
 
@@ -141,7 +141,7 @@ func TestScanDirBinary(t *testing.T) {
 		t.Fatal("alpha.bin not registered under its stem")
 	}
 	q := psd.NewRect(5, 5, 80, 80)
-	if got, _ := alpha.Count(q); got != goldJSON.Count(q) {
+	if got, _ := countOf(t, alpha, q); got != goldJSON.Count(q) {
 		t.Fatalf("alpha Count = %v, want %v", got, goldJSON.Count(q))
 	}
 
@@ -165,7 +165,7 @@ func TestScanDirBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	alpha, _ = reg.Get("alpha")
-	if got, _ := alpha.Count(q); got != treeB.Count(q) {
+	if got, _ := countOf(t, alpha, q); got != treeB.Count(q) {
 		t.Fatalf("collision winner answered %v, want the JSON artifact's %v", got, treeB.Count(q))
 	}
 	winner := alpha

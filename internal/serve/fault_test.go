@@ -272,7 +272,7 @@ func TestBadReloadKeepsServingOldRelease(t *testing.T) {
 	}
 	rel, _ := reg.Get("live")
 	q := psd.NewRect(10, 10, 60, 60)
-	want, _ := rel.Count(q)
+	want, _ := countOf(t, rel, q)
 
 	// Torn overwrite: half a JSON artifact.
 	writeFile(t, path, releaseBytes(t, tree)[:40])
@@ -286,7 +286,7 @@ func TestBadReloadKeepsServingOldRelease(t *testing.T) {
 	if rel2 != rel {
 		t.Fatal("torn overwrite displaced the live release")
 	}
-	if got, _ := rel2.Count(q); got != want {
+	if got, _ := countOf(t, rel2, q); got != want {
 		t.Fatalf("after torn overwrite Count = %v, want %v", got, want)
 	}
 	if qr := reg.Quarantined(); len(qr) != 1 || qr[0].Kind != quarantineCorrupt {

@@ -287,9 +287,11 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchRequest is the body of POST /v1/releases/{name}/batch.
+// batchRequest is the body of POST /v1/releases/{name}/batch. Rects are
+// decoded as slices, not [4]float64: the decoder would zero-fill a short
+// array and drop an extra element, answering a rect the client never sent.
 type batchRequest struct {
-	Rects [][4]float64 `json:"rects"`
+	Rects [][]float64 `json:"rects"`
 }
 
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -317,7 +319,11 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]psd.Rect, len(req.Rects))
 	for i, v := range req.Rects {
-		q, err := rectFrom(v)
+		if len(v) != 4 {
+			daemon.WriteError(w, http.StatusBadRequest, "rect %d: want 4 numbers, got %d", i, len(v))
+			return
+		}
+		q, err := rectFrom([4]float64(v))
 		if err != nil {
 			daemon.WriteError(w, http.StatusBadRequest, "rect %d: %v", i, err)
 			return

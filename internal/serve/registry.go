@@ -62,7 +62,7 @@ type Release struct {
 
 	cache *Cache
 	stats stats
-	// batchBufs pools the miss-tracking scratch of CountBatchInto so
+	// batchBufs pools the miss-tracking scratch of CountBatchIntoCtx so
 	// steady-state batches (warm cache, or caching off) allocate nothing.
 	batchBufs sync.Pool
 }
@@ -75,17 +75,12 @@ type batchBuf struct {
 	missVals []float64
 }
 
-// Count answers one range query through the cache, recording stats.
-func (r *Release) Count(q psd.Rect) (val float64, cached bool) {
-	val, cached, _ = r.CountCtx(context.Background(), q)
-	return val, cached
-}
-
-// CountCtx is Count honoring ctx: a cache hit answers immediately (the
-// lookup is far cheaper than any deadline), a miss runs the traversal with
-// cancellation checkpoints and returns ctx.Err() if the deadline fires
-// mid-walk. An abandoned traversal records nothing — no cache fill, no
-// stats — so shed work never pollutes the serving state.
+// CountCtx answers one range query through the cache, recording stats. A
+// cache hit answers immediately (the lookup is far cheaper than any
+// deadline); a miss runs the traversal with cancellation checkpoints and
+// returns ctx.Err() if the deadline fires mid-walk. An abandoned traversal
+// records nothing — no cache fill, no stats — so shed work never pollutes
+// the serving state.
 func (r *Release) CountCtx(ctx context.Context, q psd.Rect) (val float64, cached bool, err error) {
 	start := time.Now()
 	k := queryKey{q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y}
@@ -102,37 +97,25 @@ func (r *Release) CountCtx(ctx context.Context, q psd.Rect) (val float64, cached
 	return v, false, nil
 }
 
-// CountBatch answers a batch of queries: cached answers are filled
-// directly, the misses go through ONE node-major batch engine call, and
-// every fresh answer is inserted into the cache. Answers come back in
-// input order and equal what Count would return per rectangle.
-func (r *Release) CountBatch(qs []psd.Rect) (vals []float64, hits int) {
-	vals = make([]float64, len(qs))
-	hits, _ = r.CountBatchInto(vals, qs)
-	return vals, hits
-}
-
-// CountBatchInto is CountBatch writing into vals (whose length must match
-// the batch). It preserves the per-query cache lookup/fill of the
-// single-query path and executes exactly one single-worker engine call for
-// the misses, returning the hit count plus the engine's aggregate
-// traversal statistics over the missed rectangles (the sum of what each
-// individual query would report). With a warm cache — or caching disabled
-// — the steady-state call allocates nothing: the miss-tracking scratch is
-// pooled and the engine runs out of pooled traversal state.
-func (r *Release) CountBatchInto(vals []float64, qs []psd.Rect) (hits int, st psd.QueryStats) {
-	hits, st, _ = r.CountBatchIntoCtx(context.Background(), vals, qs, 1)
-	return hits, st
-}
-
-// CountBatchIntoCtx is CountBatchInto honoring ctx, with the misses'
-// engine call sharded across at most workers goroutines (the engine also
-// caps it at one worker per 64 misses; workers <= 1 is the allocation-free
-// single-traversal path). Answers, hits and statistics are identical at
-// every worker count. The miss traversal runs with cancellation
-// checkpoints and the call returns ctx.Err() — with vals undefined — if
-// the deadline fires mid-walk. An abandoned batch records nothing: no
-// cache fills, no stats, so shed work never pollutes the serving state.
+// CountBatchIntoCtx answers a batch of queries into vals (whose length
+// must match the batch): cached answers are filled directly, the misses go
+// through ONE node-major engine call, and every fresh answer is inserted
+// into the cache. Answers come back in input order and equal what CountCtx
+// would return per rectangle. It returns the hit count plus the engine's
+// aggregate traversal statistics over the missed rectangles (the sum of
+// what each individual query would report).
+//
+// The misses' engine call is sharded across at most workers goroutines
+// (the engine also caps it at one worker per 64 misses; workers <= 1 is
+// the single-traversal path). Answers, hits and statistics are identical
+// at every worker count. With workers <= 1 and a warm cache — or caching
+// disabled — the steady-state call allocates nothing: the miss-tracking
+// scratch is pooled and the engine runs out of pooled traversal state.
+//
+// The miss traversal runs with cancellation checkpoints and the call
+// returns ctx.Err() — with vals undefined — if the deadline fires
+// mid-walk. An abandoned batch records nothing: no cache fills, no stats,
+// so shed work never pollutes the serving state.
 func (r *Release) CountBatchIntoCtx(ctx context.Context, vals []float64, qs []psd.Rect, workers int) (hits int, st psd.QueryStats, err error) {
 	start := time.Now()
 	bb, _ := r.batchBufs.Get().(*batchBuf)

@@ -44,6 +44,28 @@ func testPoints(seed int64, n, skip int) []psd.Point {
 	return pts
 }
 
+// countOf asks rel for one rect under a context that never fires.
+func countOf(t testing.TB, rel *Release, q psd.Rect) (val float64, cached bool) {
+	t.Helper()
+	val, cached, err := rel.CountCtx(context.Background(), q)
+	if err != nil {
+		t.Fatalf("CountCtx(%v): %v", q, err)
+	}
+	return val, cached
+}
+
+// countBatchOf answers qs on rel on one worker under a context that never
+// fires.
+func countBatchOf(t testing.TB, rel *Release, qs []psd.Rect) (vals []float64, hits int, st psd.QueryStats) {
+	t.Helper()
+	vals = make([]float64, len(qs))
+	hits, st, err := rel.CountBatchIntoCtx(context.Background(), vals, qs, 1)
+	if err != nil {
+		t.Fatalf("CountBatchIntoCtx: %v", err)
+	}
+	return vals, hits, st
+}
+
 // buildTree constructs a small deterministic tree for serving tests.
 func buildTree(t testing.TB, seed int64) *psd.Tree {
 	t.Helper()
@@ -152,13 +174,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("repeat query = %+v, want cached %v", single, want)
 	}
 
-	// Batch matches CountAll exactly (including a repeated rect → cache hit).
+	// Batch matches CountBatch exactly (including a repeated rect → cache hit).
 	qs := []psd.Rect{
 		psd.NewRect(0, 0, 100, 100),
 		psd.NewRect(25, 25, 75, 75),
 		q, // cached from above
 	}
-	wantAll := tree.CountAll(qs)
+	wantAll := tree.CountBatch(qs)
 	body, _ := json.Marshal(map[string][][4]float64{"rects": {
 		{0, 0, 100, 100}, {25, 25, 75, 75}, {q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y},
 	}})
@@ -259,6 +281,22 @@ func TestServerRejectsBadInput(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/releases/r/batch", over, http.StatusRequestEntityTooLarge, nil)
 	nanBatch, _ := json.Marshal(map[string][]any{"rects": {[]any{math.MaxFloat64, 0, "NaN", 1}}})
 	postJSON(t, srv.URL+"/v1/releases/r/batch", nanBatch, http.StatusBadRequest, nil)
+	// Like /count, a batch rect is exactly four numbers: short, long and
+	// null rects are rejected, never zero-filled or truncated.
+	for body, want := range map[string]string{
+		`{"rects":[[1,2]]}`:                 "rect 0: want 4 numbers, got 2",
+		`{"rects":[[0,0,1,1],[0,0,1,1,5]]}`: "rect 1: want 4 numbers, got 5",
+		`{"rects":[[]]}`:                    "rect 0: want 4 numbers, got 0",
+		`{"rects":[null]}`:                  "rect 0: want 4 numbers, got 0",
+	} {
+		var resp struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, srv.URL+"/v1/releases/r/batch", []byte(body), http.StatusBadRequest, &resp)
+		if resp.Error != want {
+			t.Errorf("batch %s: error %q, want %q", body, resp.Error, want)
+		}
+	}
 
 	// Malformed artifacts never register.
 	postJSON(t, srv.URL+"/v1/releases/bad", []byte("{not a release"), http.StatusBadRequest, nil)
@@ -350,7 +388,7 @@ func TestWatchDirReload(t *testing.T) {
 
 	// Unchanged files are skipped (cache and stats survive).
 	rel, _ := reg.Get("alpha")
-	rel.Count(psd.NewRect(0, 0, 50, 50))
+	countOf(t, rel, psd.NewRect(0, 0, 50, 50))
 	postJSON(t, srv.URL+"/v1/reload", nil, http.StatusOK, &out)
 	if len(out.Skipped) != 1 || len(out.Loaded) != 0 {
 		t.Fatalf("second scan = %+v", out)
@@ -433,7 +471,7 @@ func TestWatchDirRescansFreshMtime(t *testing.T) {
 	}
 	q := psd.NewRect(0, 0, 50, 50)
 	relHot, _ := reg.Get("hot")
-	before, _ := relHot.Count(q)
+	before, _ := countOf(t, relHot, q)
 
 	// Same-tick rewrite: equal length, and the mtime pinned to the value the
 	// scan recorded — exactly what a coarse-mtime filesystem produces when
@@ -456,7 +494,7 @@ func TestWatchDirRescansFreshMtime(t *testing.T) {
 		t.Fatalf("rescan after a same-size same-mtime rewrite skipped the file (loaded %v)", loaded)
 	}
 	relHot, _ = reg.Get("hot")
-	after, _ := relHot.Count(q)
+	after, _ := countOf(t, relHot, q)
 	slab, err := psd.OpenSlab(bytes.NewReader(relB))
 	if err != nil {
 		t.Fatal(err)
@@ -611,8 +649,7 @@ func TestCountBatchIntoMatchesPerQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Cold: every answer fresh, stats cover the whole batch.
-		vals := make([]float64, len(qs))
-		hits, st := rel.CountBatchInto(vals, qs)
+		vals, hits, st := countBatchOf(t, rel, qs)
 		for i := range want {
 			if vals[i] != want[i] {
 				t.Fatalf("cache=%d: batch[%d] = %v, want %v", cacheSize, i, vals[i], want[i])
@@ -629,7 +666,10 @@ func TestCountBatchIntoMatchesPerQuery(t *testing.T) {
 		for i := range vals {
 			vals[i] = -1
 		}
-		hits, st = rel.CountBatchInto(vals, qs)
+		hits, st, err = rel.CountBatchIntoCtx(context.Background(), vals, qs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if vals[i] != want[i] {
 				t.Fatalf("cache=%d: warm batch[%d] = %v, want %v", cacheSize, i, vals[i], want[i])
@@ -639,13 +679,6 @@ func TestCountBatchIntoMatchesPerQuery(t *testing.T) {
 			if hits != len(qs) || st != (psd.QueryStats{}) {
 				t.Fatalf("cache=%d: warm batch hits=%d stats=%+v, want all hits / zero stats",
 					cacheSize, hits, st)
-			}
-		}
-		// The allocating wrapper agrees.
-		wvals, _ := rel.CountBatch(qs)
-		for i := range want {
-			if wvals[i] != want[i] {
-				t.Fatalf("cache=%d: CountBatch[%d] = %v, want %v", cacheSize, i, wvals[i], want[i])
 			}
 		}
 	}
@@ -687,16 +720,16 @@ func TestDegenerateRectsThroughCache(t *testing.T) {
 		}
 		for _, q := range qs {
 			want := slab.Count(q)
-			if got, cached := rel.Count(q); got != want || cached {
+			if got, cached := countOf(t, rel, q); got != want || cached {
 				t.Errorf("%v: miss Count(%v) = %v (cached=%v), want %v", kind, q, got, cached, want)
 			}
-			if got, cached := rel.Count(q); got != want || !cached {
+			if got, cached := countOf(t, rel, q); got != want || !cached {
 				t.Errorf("%v: hit Count(%v) = %v (cached=%v), want %v", kind, q, got, cached, want)
 			}
 		}
 		// The batch path agrees, fully warm (all hits) and on a fresh
 		// registry (all misses through one engine call).
-		vals, hits := rel.CountBatch(qs)
+		vals, hits, _ := countBatchOf(t, rel, qs)
 		if hits != len(qs) {
 			t.Errorf("%v: warm batch hits = %d, want %d", kind, hits, len(qs))
 		}
@@ -710,7 +743,7 @@ func TestDegenerateRectsThroughCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals2, hits2 := rel2.CountBatch(qs)
+		vals2, hits2, _ := countBatchOf(t, rel2, qs)
 		if hits2 != 0 {
 			t.Errorf("%v: cold batch hits = %d, want 0", kind, hits2)
 		}
@@ -734,7 +767,7 @@ func TestCacheEvictionsSurfaced(t *testing.T) {
 	}
 	for i := 0; i < 256; i++ {
 		f := float64(i)
-		rel.Count(psd.NewRect(f/10, f/10, f/10+1, f/10+1))
+		countOf(t, rel, psd.NewRect(f/10, f/10, f/10+1, f/10+1))
 	}
 	snap := rel.Stats()
 	if snap.CacheEvictions == 0 {
@@ -756,8 +789,8 @@ func TestCacheEvictionsSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2.Count(psd.NewRect(0, 0, 1, 1))
-	rel2.Count(psd.NewRect(0, 0, 1, 1))
+	countOf(t, rel2, psd.NewRect(0, 0, 1, 1))
+	countOf(t, rel2, psd.NewRect(0, 0, 1, 1))
 	if s := rel2.Stats(); s.CacheEvictions != 0 {
 		t.Fatalf("big cache stats = %+v, want 0 evictions", s)
 	}

@@ -53,7 +53,7 @@ func TestParallelismDoesNotChangeRelease(t *testing.T) {
 	}
 }
 
-func TestCountAllMatchesCount(t *testing.T) {
+func TestCountBatchMatchesCount(t *testing.T) {
 	domain := NewRect(0, 0, 50, 50)
 	points := clusteredPoints(3000, domain, 22)
 	tr, err := Build(points, domain, Options{Kind: QuadtreeKind, Height: 5, Epsilon: 0.5, Seed: 5})
@@ -65,13 +65,13 @@ func TestCountAllMatchesCount(t *testing.T) {
 		f := float64(i)
 		qs[i] = NewRect(f*0.3, f*0.2, f*0.3+5, f*0.2+8)
 	}
-	got := tr.CountAll(qs)
+	got := tr.CountBatch(qs)
 	if len(got) != len(qs) {
-		t.Fatalf("CountAll returned %d answers for %d queries", len(got), len(qs))
+		t.Fatalf("CountBatch returned %d answers for %d queries", len(got), len(qs))
 	}
 	for i, q := range qs {
 		if want := tr.Count(q); got[i] != want {
-			t.Errorf("query %d: CountAll=%v Count=%v", i, got[i], want)
+			t.Errorf("query %d: CountBatch=%v Count=%v", i, got[i], want)
 		}
 	}
 }

@@ -354,13 +354,6 @@ func Build(points []Point, domain Rect, opts Options) (*Tree, error) {
 // post-processing and consume no budget).
 func (t *Tree) Count(q Rect) float64 { return t.inner.Sealed().Query(q) }
 
-// CountAll answers a batch of range queries with a worker pool (one worker
-// per available core), returning answers in input order. Each answer is
-// exactly what Count would return for that rectangle; batching only
-// amortizes traversal state and spreads independent queries across cores,
-// which is the right shape for serving many queries against one release.
-func (t *Tree) CountAll(qs []Rect) []float64 { return t.inner.Sealed().CountAll(qs) }
-
 // CountBatch answers a batch of range queries with the node-major batch
 // engine: the tree's flat serving form is traversed one time per batch,
 // classifying every still-active query at each node, instead of walking the

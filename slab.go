@@ -14,9 +14,12 @@ import (
 // queries — the paper's publish-then-serve split (Section 4.1) with the
 // serving side stripped to the minimum bytes per node.
 //
-// A Slab answers Count, CountAll and Regions bit-identically to the Tree or
-// release it came from, is immutable, and is safe for concurrent use.
-// Single queries are allocation-free.
+// A Slab answers Count, CountBatch and Regions bit-identically to the Tree
+// or release it came from, is immutable, and is safe for concurrent use.
+// Single queries are allocation-free. Batches go through one engine, the
+// node-major pass of CountBatch; CountBatchIntoWorkers and
+// CountBatchIntoWorkersCtx are the same pass writing into a caller-owned
+// buffer with an explicit worker bound, the latter under a deadline.
 type Slab struct {
 	inner *core.Slab
 }
@@ -29,12 +32,6 @@ func (t *Tree) Seal() *Slab { return &Slab{inner: t.inner.Seal()} }
 // Count estimates the number of data points inside q, exactly as
 // Tree.Count does on the tree this slab was sealed or opened from.
 func (s *Slab) Count(q Rect) float64 { return s.inner.Query(q) }
-
-// CountAll answers a batch of range queries with a worker pool (one worker
-// per available core), one independent DFS per query, returning answers in
-// input order. Prefer CountBatch: the node-major engine answers the same
-// batch from one pass over the slab.
-func (s *Slab) CountAll(qs []Rect) []float64 { return s.inner.CountAll(qs) }
 
 // QueryStats describes how a batch of queries was answered; it is the sum
 // of the per-query traversal statistics.
@@ -57,18 +54,14 @@ type QueryStats struct {
 // bit-identical to calling Count per rectangle.
 func (s *Slab) CountBatch(qs []Rect) []float64 { return s.inner.CountBatch(qs) }
 
-// CountBatchInto is CountBatch writing into dst (whose length must match
-// the batch), returning the batch's aggregate traversal statistics.
-func (s *Slab) CountBatchInto(dst []float64, qs []Rect) QueryStats {
-	return QueryStats(s.inner.CountBatchInto(dst, qs, 0))
-}
-
-// CountBatchIntoWorkers is CountBatchInto with an explicit worker bound
-// (0 = one per core, 1 = a single traversal on the caller's goroutine).
-// Steady-state single-worker calls perform no allocations: all traversal
-// state comes from pooled scratch.
+// CountBatchIntoWorkers is CountBatch writing into dst (whose length must
+// match the batch) with an explicit worker bound (0 = one per core, 1 = a
+// single traversal on the caller's goroutine), returning the batch's
+// aggregate traversal statistics. Steady-state single-worker calls perform
+// no allocations: all traversal state comes from pooled scratch.
 func (s *Slab) CountBatchIntoWorkers(dst []float64, qs []Rect, workers int) QueryStats {
-	return QueryStats(s.inner.CountBatchInto(dst, qs, workers))
+	st, _ := s.inner.CountBatchInto(context.Background(), dst, qs, workers) // never cancelled: no error
+	return QueryStats(st)
 }
 
 // CountCtx is Count honoring ctx: the traversal polls for cancellation at
@@ -86,7 +79,7 @@ func (s *Slab) CountCtx(ctx context.Context, q Rect) (float64, error) {
 // mid-traversal. A batch whose traversal ran to completion is returned even
 // if the deadline expires on the way out.
 func (s *Slab) CountBatchIntoWorkersCtx(ctx context.Context, dst []float64, qs []Rect, workers int) (QueryStats, error) {
-	st, err := s.inner.CountBatchIntoCtx(ctx, dst, qs, workers)
+	st, err := s.inner.CountBatchInto(ctx, dst, qs, workers)
 	return QueryStats(st), err
 }
 
