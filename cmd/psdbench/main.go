@@ -27,11 +27,7 @@
 //	        256/1024/4096), release open time (JSON vs binary decode, v3
 //	        mmap), and the allocation-free serve.Release count paths,
 //	        written as JSON (-queryout, default BENCH_query.json)
-//	serve-bench
-//	        HTTP serving load generator: queries/sec and cache hit rate
-//	        through the psdserve handler stack, written as JSON
-//	        (-serveout, default BENCH_serve.json)
-//	all     everything above (except bench, query-bench and serve-bench)
+//	all     everything above (except bench and query-bench)
 //
 // Flags:
 //
@@ -73,14 +69,12 @@ func main() {
 		"output path for the query-bench experiment's JSON report")
 	testdata := flag.String("testdata", "testdata",
 		"directory holding the golden release fixtures (query-bench open rows)")
-	serveOut := flag.String("serveout", "BENCH_serve.json",
-		"output path for the serve-bench experiment's JSON report")
 	cpuProfile := flag.String("cpuprofile", "",
 		"write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "",
 		"write a pprof heap profile (captured after the run) to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: psdbench [flags] <fig2|fig3|fig4|fig5|fig6|fig7a|fig7b|grid|ablate|bench|query-bench|serve-bench|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: psdbench [flags] <fig2|fig3|fig4|fig5|fig6|fig7a|fig7b|grid|ablate|bench|query-bench|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -110,7 +104,7 @@ func main() {
 		}
 	}
 
-	err := run(which, scale, *paper, *benchOut, *queryOut, *testdata, *serveOut)
+	err := run(which, scale, *paper, *benchOut, *queryOut, *testdata)
 
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
@@ -140,20 +134,10 @@ func main() {
 	}
 }
 
-func run(which string, scale eval.Scale, paper bool, benchOut, queryOut, testdata, serveOut string) error {
-	needEnv := which != "fig2" && which != "fig4" && which != "fig7b"
+func run(which string, scale eval.Scale, paper bool, benchOut, queryOut, testdata string) error {
+	// env is the shared dataset, built below only once the experiment is
+	// known to need it; the closures read it through the variable.
 	var env *eval.Env
-	if needEnv || which == "all" {
-		start := time.Now()
-		fmt.Printf("# dataset: %d synthetic road points (scale=%s, seed=%d)\n",
-			scale.Points, scale.Name, scale.Seed)
-		var err error
-		env, err = eval.NewEnv(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# dataset+index built in %s\n\n", time.Since(start).Round(time.Millisecond))
-	}
 
 	// Heights follow the paper at -paper scale and shrink one notch at
 	// quick scale so runs stay in minutes.
@@ -246,9 +230,6 @@ func run(which string, scale eval.Scale, paper bool, benchOut, queryOut, testdat
 		"query-bench": func() error {
 			return runQueryBench(env, scale, testdata, queryOut)
 		},
-		"serve-bench": func() error {
-			return runServeBench(env, scale, serveOut)
-		},
 		"ablate": func() error {
 			shapes := []workload.QueryShape{{W: 1, H: 1}, {W: 10, H: 10}}
 			if rows, err := eval.SwitchLevelSweep(env, kdH, 0.5, shapes); err != nil {
@@ -286,6 +267,23 @@ func run(which string, scale eval.Scale, paper bool, benchOut, queryOut, testdat
 		},
 	}
 
+	exp, ok := experiments[which]
+	if !ok && which != "all" {
+		return fmt.Errorf("unknown experiment %q", which)
+	}
+	// fig2 is closed-form; fig4 and fig7b generate their own data.
+	if which != "fig2" && which != "fig4" && which != "fig7b" {
+		start := time.Now()
+		fmt.Printf("# dataset: %d synthetic road points (scale=%s, seed=%d)\n",
+			scale.Points, scale.Name, scale.Seed)
+		var err error
+		env, err = eval.NewEnv(scale)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("# dataset+index built in %s\n\n", time.Since(start).Round(time.Millisecond))
+	}
+
 	if which == "all" {
 		for _, name := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7a", "fig7b", "grid", "ablate"} {
 			fmt.Printf("== %s ==\n", name)
@@ -296,10 +294,6 @@ func run(which string, scale eval.Scale, paper bool, benchOut, queryOut, testdat
 			fmt.Printf("(%s in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 		return nil
-	}
-	exp, ok := experiments[which]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", which)
 	}
 	return exp()
 }

@@ -27,7 +27,7 @@ func TestBenchReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an h=10 quadtree and several benchmark trees")
 	}
-	iters, zeroAllocs := "10x", []string{"query/", "servecount/"}
+	iters, zeroAllocs := "10x", zeroAllocRows
 	if raceEnabled {
 		iters, zeroAllocs = "1x", nil
 	}
@@ -48,41 +48,93 @@ func TestBenchReports(t *testing.T) {
 	if err := runBenchJSON(env, scale, buildOut); err != nil {
 		t.Fatalf("bench: %v", err)
 	}
-	var wantBuild []string
-	for _, c := range psd.BuildBenchConfigs() {
-		for _, par := range psd.BenchParallelisms() {
-			wantBuild = append(wantBuild, fmt.Sprintf("build/%s/par=%d", c.Name, par))
-		}
-	}
-	checkRows(t, buildOut, wantBuild, nil)
+	checkRows(t, buildOut, buildRows(psd.BenchParallelisms()), nil)
 
 	queryOut := filepath.Join(dir, "BENCH_query.json")
 	if err := runQueryBench(env, scale, filepath.Join("..", "..", "testdata"), queryOut); err != nil {
 		t.Fatalf("query-bench: %v", err)
 	}
-	checkRows(t, queryOut, []string{
-		"query/small/slab",
-		"query/large/slab",
-		"batch/kd-h8-n256/perquery",
-		"batch/kd-h8-n256/nodemajor/par=1",
-		"batch/kd-h8-n256/nodemajor/par=0",
-		"batch/kd-h8-n1024/perquery",
-		"batch/kd-h8-n1024/nodemajor/par=1",
-		"batch/kd-h8-n1024/nodemajor/par=0",
-		"batch/kd-h8-n4096/perquery",
-		"batch/kd-h8-n4096/nodemajor/par=1",
-		"batch/kd-h8-n4096/nodemajor/par=0",
-		"batch/privtree-h8-n1024/perquery",
-		"batch/privtree-h8-n1024/nodemajor/par=1",
-		"open/golden-quadtree/json",
-		"open/golden-quadtree/binary",
-		"open/quadtree-h10/mmap-v3",
-		"batch/quadtree-h10-paper-n128/perquery",
-		"batch/quadtree-h10-paper-n128/nodemajor/par=1",
-		"batch/quadtree-h10-paper-n128/nodemajor/par=2",
-		"servecount/nocache/slab",
-		"servebatch/nocache-n256/nodemajor",
-	}, zeroAllocs)
+	checkRows(t, queryOut, queryRows, zeroAllocs)
+}
+
+// queryRows is the exact row list query-bench writes.
+var queryRows = []string{
+	"query/small/slab",
+	"query/large/slab",
+	"batch/kd-h8-n256/perquery",
+	"batch/kd-h8-n256/nodemajor/par=1",
+	"batch/kd-h8-n256/nodemajor/par=0",
+	"batch/kd-h8-n1024/perquery",
+	"batch/kd-h8-n1024/nodemajor/par=1",
+	"batch/kd-h8-n1024/nodemajor/par=0",
+	"batch/kd-h8-n4096/perquery",
+	"batch/kd-h8-n4096/nodemajor/par=1",
+	"batch/kd-h8-n4096/nodemajor/par=0",
+	"batch/privtree-h8-n1024/perquery",
+	"batch/privtree-h8-n1024/nodemajor/par=1",
+	"open/golden-quadtree/json",
+	"open/golden-quadtree/binary",
+	"open/quadtree-h10/mmap-v3",
+	"batch/quadtree-h10-paper-n128/perquery",
+	"batch/quadtree-h10-paper-n128/nodemajor/par=1",
+	"batch/quadtree-h10-paper-n128/nodemajor/par=2",
+	"servecount/nocache/slab",
+	"servebatch/nocache-n256/nodemajor",
+}
+
+// zeroAllocRows prefixes the query rows whose hot paths must not allocate.
+var zeroAllocRows = []string{"query/", "servecount/"}
+
+// buildRows is the exact row list bench writes on a machine whose
+// BenchParallelisms are pars.
+func buildRows(pars []int) []string {
+	var rows []string
+	for _, c := range psd.BuildBenchConfigs() {
+		for _, par := range pars {
+			rows = append(rows, fmt.Sprintf("build/%s/par=%d", c.Name, par))
+		}
+	}
+	return rows
+}
+
+// TestCommittedBenchReports checks the BENCH_*.json files committed at the
+// repo root against the code that writes them, so a hand-edited or stale
+// report fails here. The build rows depend on the recording machine's
+// core count, so they are checked against the file's own cpus field.
+func TestCommittedBenchReports(t *testing.T) {
+	root := filepath.Join("..", "..")
+	checkRows(t, filepath.Join(root, "BENCH_query.json"), queryRows, zeroAllocRows)
+
+	buildPath := filepath.Join(root, "BENCH_build.json")
+	raw, err := os.ReadFile(buildPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct {
+		CPUs  int    `json:"cpus"`
+		Scale string `json:"scale"`
+	}
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatalf("%s: %v", buildPath, err)
+	}
+	if meta.CPUs < 1 || meta.Scale == "" {
+		t.Fatalf("%s: cpus = %d, scale = %q; want both recorded", buildPath, meta.CPUs, meta.Scale)
+	}
+	pars := []int{1}
+	if meta.CPUs > 1 {
+		pars = append(pars, meta.CPUs)
+	}
+	checkRows(t, buildPath, buildRows(pars), nil)
+}
+
+// TestUnknownExperiment: a name no experiment has fails at once, before the
+// dataset is built. The zero Scale would fail NewEnv, so reaching it would
+// report a different error.
+func TestUnknownExperiment(t *testing.T) {
+	err := run("serve-bench", eval.Scale{}, false, "", "", "")
+	if err == nil || err.Error() != `unknown experiment "serve-bench"` {
+		t.Fatalf("run(serve-bench) = %v, want unknown experiment", err)
+	}
 }
 
 // checkRows reads the report at path and requires exactly the named rows

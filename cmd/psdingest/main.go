@@ -48,13 +48,12 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"psd"
 	"psd/internal/daemon"
+	"psd/internal/geom"
 	"psd/internal/ingest"
 	"psd/internal/promtext"
 )
@@ -115,9 +114,9 @@ func (b *buildFlags) config(logger *log.Logger) (ingest.Config, error) {
 	if !ok {
 		return cfg, fmt.Errorf("unknown kind %q", b.kind)
 	}
-	dom, err := parseDomain(b.domain)
+	dom, err := geom.ParseRect(b.domain)
 	if err != nil {
-		return cfg, err
+		return cfg, fmt.Errorf("-domain: %v", err)
 	}
 	return ingest.Config{
 		Name:         b.name,
@@ -130,22 +129,6 @@ func (b *buildFlags) config(logger *log.Logger) (ingest.Config, error) {
 		Keep:         b.keep,
 		Logger:       logger,
 	}, nil
-}
-
-func parseDomain(s string) (psd.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return psd.Rect{}, fmt.Errorf("-domain wants lox,loy,hix,hiy, got %q", s)
-	}
-	var v [4]float64
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return psd.Rect{}, fmt.Errorf("-domain coordinate %q: %v", p, err)
-		}
-		v[i] = f
-	}
-	return psd.NewRect(v[0], v[1], v[2], v[3]), nil
 }
 
 func run(args []string, logger *log.Logger) error {

@@ -298,18 +298,29 @@ func walPoints(n int) []psd.Point {
 	return pts
 }
 
+// TestParseDomain pins -domain parsing through buildFlags.config: inverted
+// bounds are swapped, and malformed or non-finite input is an error, never
+// a panic.
 func TestParseDomain(t *testing.T) {
-	if _, err := parseDomain("0,0,100"); err == nil {
-		t.Fatal("three coordinates accepted")
+	logger := log.New(io.Discard, "", 0)
+	domain := func(spec string) (psd.Rect, error) {
+		cfg, err := (&buildFlags{kind: "quadtree", domain: spec}).config(logger)
+		return cfg.Domain, err
 	}
-	if _, err := parseDomain("a,b,c,d"); err == nil {
-		t.Fatal("garbage accepted")
+	for _, bad := range []string{"0,0,100", "a,b,c,d", "NaN,0,1,1", "0,0,Inf,10"} {
+		if _, err := domain(bad); err == nil {
+			t.Errorf("-domain %q accepted", bad)
+		}
 	}
-	dom, err := parseDomain("1, 2, 3, 4")
-	if err != nil || dom != psd.NewRect(1, 2, 3, 4) {
-		t.Fatalf("parseDomain = %v, %v", dom, err)
+	for spec, want := range map[string]psd.Rect{
+		"1, 2, 3, 4": psd.NewRect(1, 2, 3, 4),
+		"10,0,0,10":  psd.NewRect(0, 0, 10, 10),
+	} {
+		if dom, err := domain(spec); err != nil || dom != want {
+			t.Errorf("-domain %q = %v, %v; want %v", spec, dom, err, want)
+		}
 	}
-	if _, err := (&buildFlags{kind: "nope", domain: "0,0,1,1"}).config(log.New(io.Discard, "", 0)); err == nil {
+	if _, err := (&buildFlags{kind: "nope", domain: "0,0,1,1"}).config(logger); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

@@ -39,6 +39,7 @@ import (
 
 	"psd"
 	"psd/internal/atomicfile"
+	"psd/internal/geom"
 )
 
 // rectFlag accumulates repeated -query flags.
@@ -47,34 +48,12 @@ type rectFlag []psd.Rect
 func (r *rectFlag) String() string { return fmt.Sprint(*r) }
 
 func (r *rectFlag) Set(s string) error {
-	rect, err := parseRect(s)
+	rect, err := geom.ParseRect(s)
 	if err != nil {
 		return err
 	}
 	*r = append(*r, rect)
 	return nil
-}
-
-func parseRect(s string) (psd.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return psd.Rect{}, fmt.Errorf("want x1,y1,x2,y2, got %q", s)
-	}
-	var v [4]float64
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return psd.Rect{}, fmt.Errorf("bad coordinate %q: %v", p, err)
-		}
-		v[i] = f
-	}
-	if v[2] < v[0] {
-		v[0], v[2] = v[2], v[0]
-	}
-	if v[3] < v[1] {
-		v[1], v[3] = v[3], v[1]
-	}
-	return psd.NewRect(v[0], v[1], v[2], v[3]), nil
 }
 
 func main() {
@@ -121,7 +100,7 @@ func main() {
 
 	domain := psd.BoundingBox(points)
 	if *domainSpec != "" {
-		domain, err = parseRect(*domainSpec)
+		domain, err = geom.ParseRect(*domainSpec)
 		if err != nil {
 			fatal(err)
 		}

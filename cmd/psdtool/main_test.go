@@ -10,29 +10,24 @@ import (
 	"psd"
 )
 
+// TestParseRect pins what -query accepts: inverted corners are swapped and
+// whitespace is tolerated, while malformed or non-finite input is an error
+// the flag package reports, never a panic.
 func TestParseRect(t *testing.T) {
-	r, err := parseRect("1,2,3,4")
-	if err != nil {
-		t.Fatal(err)
+	var rf rectFlag
+	for _, s := range []string{"1,2,3,4", "3,4,1,2", " 1 , 2 , 3 , 4 "} {
+		if err := rf.Set(s); err != nil {
+			t.Fatalf("Set(%q): %v", s, err)
+		}
 	}
-	if r != psd.NewRect(1, 2, 3, 4) {
-		t.Errorf("parseRect = %v", r)
+	for i, r := range rf {
+		if r != psd.NewRect(1, 2, 3, 4) {
+			t.Errorf("rect %d = %v, want [1,3)x[2,4)", i, r)
+		}
 	}
-	// Swapped corners normalize.
-	r, err = parseRect("3,4,1,2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != psd.NewRect(1, 2, 3, 4) {
-		t.Errorf("normalized parseRect = %v", r)
-	}
-	// Whitespace tolerated.
-	if _, err := parseRect(" 1 , 2 , 3 , 4 "); err != nil {
-		t.Errorf("whitespace should parse: %v", err)
-	}
-	for _, bad := range []string{"", "1,2,3", "1,2,3,4,5", "a,b,c,d"} {
-		if _, err := parseRect(bad); err == nil {
-			t.Errorf("parseRect(%q) should error", bad)
+	for _, bad := range []string{"", "1,2,3", "1,2,3,4,5", "a,b,c,d", "NaN,0,1,1", "0,0,1,Inf"} {
+		if err := rf.Set(bad); err == nil {
+			t.Errorf("Set(%q) should error", bad)
 		}
 	}
 }

@@ -12,6 +12,8 @@ package geom
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Point is a location in the plane.
@@ -38,6 +40,43 @@ func NewRect(loX, loY, hiX, hiY float64) Rect {
 // Valid reports whether the rectangle's bounds are ordered.
 func (r Rect) Valid() bool {
 	return r.Lo.X <= r.Hi.X && r.Lo.Y <= r.Hi.Y
+}
+
+// ParseRect parses user input of the form "lox,loy,hix,hiy" (whitespace
+// around each number allowed) into a rectangle by way of RectFrom, so
+// non-finite bounds are an error and inverted ones are swapped. Unlike
+// NewRect it never panics: bad input is the user's error, not the caller's.
+func ParseRect(s string) (Rect, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 4 {
+		return Rect{}, fmt.Errorf("want lox,loy,hix,hiy, got %q", s)
+	}
+	var v [4]float64
+	for i, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return Rect{}, fmt.Errorf("bad coordinate %q", p)
+		}
+		v[i] = f
+	}
+	return RectFrom(v)
+}
+
+// RectFrom builds a rectangle from the bounds {lox, loy, hix, hiy},
+// swapping inverted pairs. It fails if any bound is NaN or ±Inf.
+func RectFrom(v [4]float64) (Rect, error) {
+	for _, f := range v {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return Rect{}, fmt.Errorf("non-finite rect %v", v)
+		}
+	}
+	if v[2] < v[0] {
+		v[0], v[2] = v[2], v[0]
+	}
+	if v[3] < v[1] {
+		v[1], v[3] = v[3], v[1]
+	}
+	return Rect{Lo: Point{v[0], v[1]}, Hi: Point{v[2], v[3]}}, nil
 }
 
 // Width returns the extent of r along the x axis.

@@ -38,6 +38,33 @@ func TestNewRectPanicsOnInvertedBounds(t *testing.T) {
 	NewRect(5, 0, 1, 1)
 }
 
+func TestParseRect(t *testing.T) {
+	good := []struct {
+		in   string
+		want Rect
+	}{
+		{"1,2,3,4", NewRect(1, 2, 3, 4)},
+		{" 1 , 2 , 3 , 4 ", NewRect(1, 2, 3, 4)},
+		{"3,4,1,2", NewRect(1, 2, 3, 4)},     // both pairs inverted: swapped
+		{"10,0,0,10", NewRect(0, 0, 10, 10)}, // NewRect would panic here
+		{"0,0,0,10", NewRect(0, 0, 0, 10)},   // degenerate is still a rect
+	}
+	for _, c := range good {
+		got, err := ParseRect(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseRect(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{
+		"", "1,2,3", "1,2,3,4,5", "a,b,c,d",
+		"NaN,0,1,1", "0,0,Inf,1", "0,-inf,1,1", "0,0,1,1e999",
+	} {
+		if r, err := ParseRect(bad); err == nil {
+			t.Errorf("ParseRect(%q) = %v, want an error", bad, r)
+		}
+	}
+}
+
 func TestContainsHalfOpen(t *testing.T) {
 	r := NewRect(0, 0, 1, 1)
 	cases := []struct {

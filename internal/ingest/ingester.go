@@ -197,6 +197,11 @@ func openNoRecover(cfg Config) (*Ingester, error) {
 	if cfg.EpochEpsilon <= 0 || math.IsNaN(cfg.EpochEpsilon) || math.IsInf(cfg.EpochEpsilon, 0) {
 		return nil, fmt.Errorf("ingest: invalid epoch epsilon %v", cfg.EpochEpsilon)
 	}
+	// Every publish would charge ε and then fail to build, so refuse the
+	// domain before any state exists to charge.
+	if d := cfg.Domain; !finite(d.Lo.X) || !finite(d.Lo.Y) || !finite(d.Hi.X) || !finite(d.Hi.Y) || d.Empty() {
+		return nil, fmt.Errorf("ingest: domain %v is empty or not finite", d)
+	}
 	if cfg.FS == nil {
 		cfg.FS = osFS{}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -332,6 +333,28 @@ func TestIngesterRejectsNonFinite(t *testing.T) {
 	}
 	if s := in.Stats(); s.Points != 0 {
 		t.Fatalf("partial batch reached the WAL: %d points", s.Points)
+	}
+}
+
+// TestIngesterRejectsBadDomain: a domain no build accepts fails Open
+// before any state exists, instead of charging ε for each publish that
+// then fails and wedges the ingester.
+func TestIngesterRejectsBadDomain(t *testing.T) {
+	for _, dom := range []psd.Rect{
+		{Hi: psd.Point{X: 0, Y: 10}},
+		{Lo: psd.Point{X: 1, Y: 0}, Hi: psd.Point{X: 0, Y: 1}},
+		{Hi: psd.Point{X: nan(), Y: 1}},
+		{Hi: psd.Point{X: 1, Y: math.Inf(1)}},
+	} {
+		cfg := testConfig(t, t.TempDir())
+		cfg.Domain = dom
+		if in, err := Open(cfg); err == nil {
+			in.Close()
+			t.Errorf("domain %v: Open succeeded", dom)
+		}
+		if _, err := os.Stat(filepath.Join(cfg.StateDir, "ledger")); !os.IsNotExist(err) {
+			t.Errorf("domain %v: ledger exists after a refused Open (stat: %v)", dom, err)
+		}
 	}
 }
 

@@ -3,9 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -15,6 +13,7 @@ import (
 
 	"psd"
 	"psd/internal/daemon"
+	"psd/internal/geom"
 )
 
 // API builds the HTTP handler of psdserve. All mutable state is atomic
@@ -222,43 +221,6 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// parseRect parses "lox,loy,hix,hiy" into a finite, ordered rectangle
-// (inverted bounds are swapped, matching psdtool).
-func parseRect(s string) (psd.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return psd.Rect{}, fmt.Errorf("want lox,loy,hix,hiy, got %q", s)
-	}
-	var v [4]float64
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return psd.Rect{}, fmt.Errorf("bad coordinate %q", p)
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return psd.Rect{}, fmt.Errorf("non-finite coordinate %q", p)
-		}
-		v[i] = f
-	}
-	return rectFrom(v)
-}
-
-// rectFrom orders and validates four bounds as a query rectangle.
-func rectFrom(v [4]float64) (psd.Rect, error) {
-	for _, f := range v {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return psd.Rect{}, fmt.Errorf("non-finite rect %v", v)
-		}
-	}
-	if v[2] < v[0] {
-		v[0], v[2] = v[2], v[0]
-	}
-	if v[3] < v[1] {
-		v[1], v[3] = v[3], v[1]
-	}
-	return psd.Rect{Lo: psd.Point{X: v[0], Y: v[1]}, Hi: psd.Point{X: v[2], Y: v[3]}}, nil
-}
-
 func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 	rel, ok := a.release(w, r)
 	if !ok {
@@ -269,7 +231,7 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 		daemon.WriteError(w, http.StatusBadRequest, "missing ?rect=lox,loy,hix,hiy")
 		return
 	}
-	q, err := parseRect(spec)
+	q, err := geom.ParseRect(spec)
 	if err != nil {
 		daemon.WriteError(w, http.StatusBadRequest, "bad rect: %v", err)
 		return
@@ -323,7 +285,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 			daemon.WriteError(w, http.StatusBadRequest, "rect %d: want 4 numbers, got %d", i, len(v))
 			return
 		}
-		q, err := rectFrom([4]float64(v))
+		q, err := geom.RectFrom([4]float64(v))
 		if err != nil {
 			daemon.WriteError(w, http.StatusBadRequest, "rect %d: %v", i, err)
 			return
