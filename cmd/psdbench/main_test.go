@@ -17,7 +17,7 @@ import (
 // TestBenchReports runs the bench and query-bench experiments end to end
 // on a tiny dataset, and pins the shape of what they write: the exact row
 // set, a measured time on every row, and the allocation-free bar of the
-// single-query and serve-count hot paths. Rows run 10 iterations, not 1:
+// single-query, verify and serve-count hot paths. Rows run 10 iterations, not 1:
 // the framework forces a GC before each run, which empties the sync.Pool
 // the traversal stacks come from, so the first iteration re-allocates
 // them; allocs/op is a truncated mean, so at 10 iterations it reads 0
@@ -75,6 +75,8 @@ var queryRows = []string{
 	"open/golden-quadtree/json",
 	"open/golden-quadtree/binary",
 	"open/quadtree-h10/mmap-v3",
+	"encode/quadtree-h10/v3",
+	"verify/quadtree-h10/mmap-v3",
 	"batch/quadtree-h10-paper-n128/perquery",
 	"batch/quadtree-h10-paper-n128/nodemajor/par=1",
 	"batch/quadtree-h10-paper-n128/nodemajor/par=2",
@@ -83,7 +85,7 @@ var queryRows = []string{
 }
 
 // zeroAllocRows prefixes the query rows whose hot paths must not allocate.
-var zeroAllocRows = []string{"query/", "servecount/"}
+var zeroAllocRows = []string{"query/", "verify/", "servecount/"}
 
 // buildRows is the exact row list bench writes on a machine whose
 // BenchParallelisms are pars.

@@ -41,11 +41,13 @@ type queryReport struct {
 type queryRow struct {
 	// Name is "<op>/<case>/<engine>[/par=<n>]".
 	Name string `json:"name"`
-	// Op is "query", "batch", "open", "servecount" or "servebatch".
+	// Op is "query", "batch", "open", "verify", "encode", "servecount" or
+	// "servebatch".
 	Op string `json:"op"`
 	// Engine is "slab" (query and servecount rows), "perquery" or
-	// "nodemajor" (batch rows), or "json", "binary" or "mmap" (how open
-	// rows read the artifact).
+	// "nodemajor" (batch rows), "json", "binary" or "mmap" (how open and
+	// verify rows read the artifact), or "v3" (the format encode rows
+	// write).
 	Engine string `json:"engine"`
 	// Parallelism is the worker bound (batch rows; 0 = one per core).
 	Parallelism int `json:"parallelism,omitempty"`
@@ -57,7 +59,7 @@ type queryRow struct {
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// QueriesPerSec is batch throughput (batch and servebatch rows).
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
-	// ArtifactBytes is the serialized size (open rows).
+	// ArtifactBytes is the serialized size (open, verify and encode rows).
 	ArtifactBytes int `json:"artifact_bytes,omitempty"`
 	// SpeedupVsJSON is json-ns / this-ns (binary open rows).
 	SpeedupVsJSON float64 `json:"speedup_vs_json,omitempty"`
@@ -301,6 +303,40 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		NsPerOp: v3Ns, AllocsPerOp: v3OpenAllocs, BytesPerOp: v3OpenBytes,
 		ArtifactBytes:  int(fileSize(v3Path)),
 		HeapDeltaBytes: v3Heap, RSSDeltaBytes: v3RSS,
+	})
+
+	// The two full-body passes a published release costs before it serves:
+	// the writer streaming the h=10 artifact (records encoded and
+	// checksummed, to io.Discard so no disk time is counted) and a
+	// replica's Slab.Verify of its mapping (checksum plus per-node checks).
+	encNs, encAllocs, encBytes := benchNs(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := big.WriteBinaryV3Release(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	emit(queryRow{
+		Name: "encode/quadtree-h10/v3", Op: "encode", Engine: "v3",
+		NsPerOp: encNs, AllocsPerOp: encAllocs, BytesPerOp: encBytes,
+		ArtifactBytes: int(fileSize(v3Path)),
+	})
+	mapped, err := psd.OpenSlabFile(v3Path)
+	if err != nil {
+		return err
+	}
+	verNs, verAllocs, verBytes := benchNs(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := mapped.Verify(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	mapped.Close()
+	emit(queryRow{
+		Name: "verify/quadtree-h10/mmap-v3", Op: "verify", Engine: "mmap",
+		NsPerOp: verNs, AllocsPerOp: verAllocs, BytesPerOp: verBytes,
+		ArtifactBytes: int(fileSize(v3Path)),
 	})
 
 	// The batch-cold load on the deep tree: 128-rect batches of the paper's

@@ -25,16 +25,16 @@ import (
 
 // vetConfig mirrors cmd/go/internal/work.vetConfig.
 type vetConfig struct {
-	ID         string
-	Compiler   string
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	ImportMap  map[string]string
+	ID          string
+	Compiler    string
+	Dir         string
+	ImportPath  string
+	GoFiles     []string
+	ImportMap   map[string]string
 	PackageFile map[string]string
-	Standard   map[string]bool
-	VetxOnly   bool
-	VetxOutput string
+	Standard    map[string]bool
+	VetxOnly    bool
+	VetxOutput  string
 
 	SucceedOnTypecheckFailure bool
 }

@@ -7,6 +7,11 @@
 // reflect.SliceHeader/StringHeader aliasing, which is the same trick with
 // fewer guardrails — outside that seam is an error everywhere in the module,
 // tests included: an unaudited alias can corrupt served answers silently.
+//
+// Assembly is the same kind of escape from the type system, so it gets the
+// same treatment: a body-less func declaration (a function implemented in
+// a .s file) is an error outside its own audited seam, the checksum
+// kernel's declaration file internal/checksum/crc64_amd64.go.
 package unsafeconfine
 
 import (
@@ -26,16 +31,32 @@ var seam = map[string]map[string]bool{
 	},
 }
 
+// asmSeam is the audited set: package path -> file basenames allowed to
+// declare assembly-implemented (body-less) functions.
+var asmSeam = map[string]map[string]bool{
+	"psd/internal/checksum": {
+		"crc64_amd64.go": true,
+	},
+}
+
 var Analyzer = &analysis.Analyzer{
 	Name: "unsafeconfine",
-	Doc:  "unsafe and SliceHeader-style aliasing are confined to internal/core's audited mmap seam (unsafeslice.go); new uses elsewhere are errors",
+	Doc:  "unsafe and SliceHeader-style aliasing are confined to internal/core's audited mmap seam (unsafeslice.go), and assembly-implemented functions to internal/checksum's kernel declarations (crc64_amd64.go); new uses elsewhere are errors",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	allowed := seam[pass.PkgPath]
+	asmAllowed := asmSeam[pass.PkgPath]
 	for _, f := range pass.Files {
 		inSeam := allowed[pass.Filename(f.Pos())]
+		if !asmAllowed[pass.Filename(f.Pos())] {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil {
+					pass.Reportf(fd.Pos(), "func %s has no body: assembly outside the audited seam (psd/internal/checksum/crc64_amd64.go) escapes the type system and the race detector — extend the seam deliberately or write it in Go", fd.Name.Name)
+				}
+			}
+		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil || path != "unsafe" {

@@ -14,3 +14,7 @@ func TestSeamAllowlist(t *testing.T) {
 func TestOutsideSeam(t *testing.T) {
 	analysistest.Run(t, unsafeconfine.Analyzer, "psd/internal/grid")
 }
+
+func TestAsmSeam(t *testing.T) {
+	analysistest.Run(t, unsafeconfine.Analyzer, "psd/internal/checksum")
+}

@@ -57,9 +57,9 @@ type Backend struct {
 	lastErr    string
 
 	// Data-path counters, surfaced in /metrics and /v1/backends.
-	Requests atomic.Uint64 // attempts forwarded to this backend
-	Failures atomic.Uint64 // attempts that failed (transport error or 5xx)
-	Probes   atomic.Uint64 // health probes issued
+	Requests   atomic.Uint64 // attempts forwarded to this backend
+	Failures   atomic.Uint64 // attempts that failed (transport error or 5xx)
+	Probes     atomic.Uint64 // health probes issued
 	ProbeFails atomic.Uint64
 }
 

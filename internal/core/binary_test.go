@@ -224,7 +224,7 @@ func TestReadBinaryHostileHeaders(t *testing.T) {
 	base[4] = binaryVersion
 	base[5] = 0 // quadtree
 	base[6] = 4
-	base[7] = 0 // height 0 -> 1 node
+	base[7] = 0                                                      // height 0 -> 1 node
 	binary.LittleEndian.PutUint64(base[8:], math.Float64bits(1.0))   // epsilon
 	binary.LittleEndian.PutUint64(base[16:], math.Float64bits(0))    // lox
 	binary.LittleEndian.PutUint64(base[24:], math.Float64bits(0))    // loy

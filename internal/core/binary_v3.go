@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"math/bits"
@@ -11,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 
+	"psd/internal/checksum"
 	"psd/internal/geom"
 )
 
@@ -72,9 +72,6 @@ const (
 	v3RecordSize = 40
 	v3Align      = 64
 )
-
-// v3CRCTable is the CRC-64/ECMA polynomial table the footer checksum uses.
-var v3CRCTable = crc64.MakeTable(crc64.ECMA)
 
 // align64 rounds n up to the next 64-byte boundary.
 func align64(n int64) int64 { return (n + v3Align - 1) &^ (v3Align - 1) }
@@ -200,7 +197,7 @@ func (p *PSD) v3Source() (*v3Source, error) {
 // writeV3 is the format-v3 writer, returning the number of bytes that
 // reached w.
 func writeV3(w io.Writer, src *v3Source) (int64, error) {
-	crc := crc64.New(v3CRCTable)
+	crc := checksum.New(checksum.ECMA)
 	aw := newArtifactWriter(w, crc)
 	n := src.nodes
 	lay := v3LayoutFor(n)
@@ -324,7 +321,7 @@ func parseV3Header(hdr *[v3HeaderSize]byte) (kind Kind, height int, domain geom.
 // unpublished slots — so it accepts exactly the artifacts Verify would
 // pass. The magic has already been consumed by ReadBinary.
 func readBinaryV3(r io.Reader) (*Slab, error) {
-	crc := crc64.New(v3CRCTable)
+	crc := checksum.New(checksum.ECMA)
 	crc.Write(v3Magic[:])
 	tr := io.TeeReader(r, crc)
 
@@ -374,10 +371,8 @@ func readBinaryV3(r io.Reader) (*Slab, error) {
 	if err := checkBitsetTails(s.usable, s.pruned, nodes, numPruned); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nodes; i++ {
-		if err := checkV3Node(&s.nodes[i], i, s.usable.get(i)); err != nil {
-			return nil, err
-		}
+	if err := checkV3Nodes(s.nodes, s.usable, 0, nodes); err != nil {
+		return nil, err
 	}
 
 	// The footer is read from the underlying reader, past the crc tee: the
@@ -452,23 +447,27 @@ func checkBitsetTails(usable, pruned bitset, nodes, numPruned int) error {
 	return nil
 }
 
-// checkV3Node runs the per-node validation of Release.Validate on a packed
-// record, plus the v3 canonicality rule: an unpublished node's count slot
-// must be exactly zero bits (the decoder cannot force-zero a read-only
-// mapping, so the writer must have).
-func checkV3Node(nd *[5]float64, i int, usable bool) error {
-	if !finiteRect([4]float64{nd[0], nd[1], nd[2], nd[3]}) {
-		return fmt.Errorf("core: release node %d has non-finite rect", i)
-	}
-	if nd[0] > nd[2] || nd[1] > nd[3] {
-		return fmt.Errorf("core: release node %d has inverted rect", i)
-	}
-	if usable {
-		if c := nd[4]; math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("core: release node %d has non-finite count", i)
+// checkV3Nodes runs the per-node validation of Release.Validate on the
+// packed records [lo, hi), plus the v3 canonicality rule: an unpublished
+// node's count slot must be exactly zero bits (the decoder cannot
+// force-zero a read-only mapping, so the writer must have). It names the
+// first bad node.
+func checkV3Nodes(recs [][5]float64, usable bitset, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		nd := &recs[i]
+		if !finite(nd[0]) || !finite(nd[1]) || !finite(nd[2]) || !finite(nd[3]) {
+			return fmt.Errorf("core: release node %d has non-finite rect", i)
 		}
-	} else if math.Float64bits(nd[4]) != 0 {
-		return fmt.Errorf("core: release node %d is unpublished but has a non-zero count slot", i)
+		if nd[0] > nd[2] || nd[1] > nd[3] {
+			return fmt.Errorf("core: release node %d has inverted rect", i)
+		}
+		if usable.get(i) {
+			if !finite(nd[4]) {
+				return fmt.Errorf("core: release node %d has non-finite count", i)
+			}
+		} else if math.Float64bits(nd[4]) != 0 {
+			return fmt.Errorf("core: release node %d is unpublished but has a non-zero count slot", i)
+		}
 	}
 	return nil
 }
@@ -567,8 +566,8 @@ func slabFromMapping(m *slabMapping) (*Slab, error) {
 // Verify runs the deferred full-body validation on an mmap-opened slab:
 // footer checksum over the whole body, zero padding, and the per-node
 // checks the streaming decoder performs inline. It reads every page of the
-// mapping (once — sequentially, which is also an effective prefault before
-// serving) but allocates nothing. On a slab that was decoded rather than
+// mapping once, sequentially (which is also an effective prefault before
+// serving), and allocates nothing. On a slab that was decoded rather than
 // mapped the contract already held at construction, so Verify is a no-op.
 func (s *Slab) Verify() error {
 	s.ensureOpen()
@@ -578,11 +577,24 @@ func (s *Slab) Verify() error {
 	data := s.mapped.data
 	nodes := s.Len()
 	lay := v3LayoutFor(nodes)
-	crc := crc64.New(v3CRCTable)
-	crc.Write(data[:lay.footerOff])
+	// Each chunk of records is checksummed and then node-checked while it
+	// is still in cache. The first bad node is only remembered: it is
+	// reported after the footer and padding have passed, so precedence is
+	// checksum, then footer magic, then padding, then the first bad node.
+	crc := checksum.Update(0, checksum.ECMA, data[:lay.recordsOff])
+	records := data[lay.recordsOff:lay.recordsEnd]
+	var nodeErr error
+	for lo := 0; lo < nodes; lo += verifyChunkNodes {
+		hi := min(lo+verifyChunkNodes, nodes)
+		crc = checksum.Update(crc, checksum.ECMA, records[lo*v3RecordSize:hi*v3RecordSize])
+		if nodeErr == nil {
+			nodeErr = checkV3Nodes(s.nodes, s.usable, lo, hi)
+		}
+	}
+	crc = checksum.Update(crc, checksum.ECMA, data[lay.recordsEnd:lay.footerOff])
 	ft := data[lay.footerOff:]
-	if got := binary.LittleEndian.Uint64(ft[0:8]); got != crc.Sum64() {
-		return fmt.Errorf("core: binary release checksum mismatch: footer %#x, body %#x", got, crc.Sum64())
+	if got := binary.LittleEndian.Uint64(ft[0:8]); got != crc {
+		return fmt.Errorf("core: binary release checksum mismatch: footer %#x, body %#x", got, crc)
 	}
 	if [8]byte(ft[8:16]) != v3FooterMagic {
 		return fmt.Errorf("core: bad footer magic %q in binary release", ft[8:16])
@@ -598,10 +610,10 @@ func (s *Slab) Verify() error {
 			}
 		}
 	}
-	for i := 0; i < nodes; i++ {
-		if err := checkV3Node(&s.nodes[i], i, s.usable.get(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return nodeErr
 }
+
+// verifyChunkNodes is Verify's step: 1600 records are 64000 bytes, small
+// enough to stay in cache between the checksum and the node check, and a
+// whole number of the checksum kernel's 64-byte blocks.
+const verifyChunkNodes = 1600

@@ -403,13 +403,14 @@ func TestSlabClose(t *testing.T) {
 func patchV3CRC(raw []byte) []byte {
 	out := append([]byte(nil), raw...)
 	body := out[:len(out)-v3FooterSize]
-	binary.LittleEndian.PutUint64(out[len(body):], crc64.Checksum(body, v3CRCTable))
+	binary.LittleEndian.PutUint64(out[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
 	return out
 }
 
 // TestReadBinaryV3RejectsMalformed drives the v3 decoder through the
-// corruption classes the format claims to catch — and pins which of them the
-// instant mmap open defers to Verify.
+// corruption classes the format claims to catch, pinning each error
+// message — and pins which of them the instant mmap open defers to Verify,
+// which must report exactly what the streaming decoder reports.
 func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(512, dom, 91)
@@ -460,9 +461,55 @@ func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 	}
 	cases["one byte shy"] = raw[:len(raw)-1]
 
+	// A checksum mismatch names the footer's value and the body's CRC-64,
+	// here taken with hash/crc64 as an independent reference.
+	mismatch := func(data []byte) string {
+		return fmt.Sprintf("core: binary release checksum mismatch: footer %#x, body %#x",
+			binary.LittleEndian.Uint64(data[lay.footerOff:]),
+			crc64.Checksum(data[:lay.footerOff], crc64.MakeTable(crc64.ECMA)))
+	}
+	want := map[string]string{
+		"empty":                      "core: reading binary release header: EOF",
+		"magic only":                 "core: reading binary release header: EOF",
+		"truncated header":           "core: reading binary release header: unexpected EOF",
+		"bad version":                "core: unsupported binary release version 9",
+		"bad kind":                   "core: unknown kind 200 in binary release",
+		"bad fanout":                 "core: unsupported fanout 3",
+		"huge height":                "core: release height 99 outside [0,13]",
+		"negative epsilon":           "core: invalid release epsilon -1",
+		"NaN domain":                 "core: release domain [NaN 0 64 64] is not finite",
+		"node count mismatch":        "core: binary release declares 1 nodes for a 21-node tree",
+		"pruned overflow":            "core: binary release declares 2147483647 pruned nodes of 21",
+		"reserved header":            "core: binary release has non-zero reserved header bytes",
+		"flipped record bit":         mismatch(cases["flipped record bit"]),
+		"flipped bitset bit":         mismatch(cases["flipped bitset bit"]),
+		"corrupt checksum":           mismatch(cases["corrupt checksum"]),
+		"bad footer magic":           `core: bad footer magic "XSD3END\x00" in binary release`,
+		"trailing byte":              "core: binary release has trailing bytes past its end",
+		"nonzero pad":                "core: binary release has non-zero section padding",
+		"published tail bits":        "core: binary release has published bits beyond node 20",
+		"pruned popcount mismatch":   "core: binary release declares 0 pruned nodes but marks 1",
+		"poisoned unpublished count": "core: release node 0 is unpublished but has a non-zero count slot",
+		"NaN rect":                   "core: release node 0 has non-finite rect",
+		"truncated at records":       "core: reading binary release padding: EOF",
+		"truncated inside records":   "core: reading binary release records: unexpected EOF",
+		"truncated at published":     "core: reading binary release padding: EOF",
+		"truncated inside published": "core: reading binary release published bitset: unexpected EOF",
+		"truncated at pruned":        "core: reading binary release padding: EOF",
+		"truncated inside pruned":    "core: reading binary release pruned bitset: unexpected EOF",
+		"truncated at footer":        "core: reading binary release footer: EOF",
+		"truncated inside footer":    "core: reading binary release padding: unexpected EOF",
+		"one byte shy":               "core: reading binary release footer: unexpected EOF",
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("%d pinned messages for %d cases", len(want), len(cases))
+	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		_, err := ReadBinary(bytes.NewReader(data))
+		if err == nil {
 			t.Errorf("%s: streaming v3 decoder accepted malformed input", name)
+		} else if err.Error() != want[name] {
+			t.Errorf("%s: streaming v3 decoder says %q, want %q", name, err, want[name])
 		}
 	}
 	if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
@@ -488,6 +535,8 @@ func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 		}
 		if err := s.Verify(); err == nil {
 			t.Errorf("%s: Verify accepted a corrupt mapping", name)
+		} else if err.Error() != want[name] {
+			t.Errorf("%s: Verify says %q, want %q", name, err, want[name])
 		}
 		s.Close()
 	}
@@ -498,9 +547,19 @@ func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 		"trailing byte":       cases["trailing byte"],
 		"one byte shy":        cases["one byte shy"],
 	} {
-		if s, err := OpenSlabMmap(writeTempArtifact(t, data)); err == nil {
+		path := writeTempArtifact(t, data)
+		s, err := OpenSlabMmap(path)
+		if err == nil {
 			s.Close()
 			t.Errorf("%s: OpenSlabMmap accepted malformed input", name)
+			continue
+		}
+		wantOpen := "core: " + path + ": " + want[name]
+		if name == "trailing byte" || name == "one byte shy" {
+			wantOpen = fmt.Sprintf("core: %s: core: binary release is %d bytes, v3 layout requires %d", path, len(data), lay.size)
+		}
+		if err.Error() != wantOpen {
+			t.Errorf("%s: OpenSlabMmap says %q, want %q", name, err, wantOpen)
 		}
 	}
 }
@@ -582,5 +641,81 @@ func TestPSDWriteBinaryV3Validates(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatal("an unpublished estimate leaked into the artifact")
+	}
+}
+
+// verifyFixture is a mapped v3 artifact spanning several Verify chunks:
+// an h=6 quadtree has 5461 nodes, so its last chunk starts at node 4800.
+func verifyFixture(t *testing.T) []byte {
+	t.Helper()
+	if !mmapSupported || !hostLittleEndian() {
+		t.Skip("no mmap on this platform")
+	}
+	dom := geom.NewRect(0, 0, 64, 64)
+	p, err := Build(randomPoints(4096, dom, 93), dom, Config{Kind: Quadtree, Height: 6, Epsilon: 1, Seed: 94})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := v3Bytes(t, p)
+	if n := len(p.arena.Nodes); n != 5461 || n <= 3*verifyChunkNodes {
+		t.Fatalf("fixture has %d nodes; it must span four Verify chunks", n)
+	}
+	return raw
+}
+
+// verifyMapped opens raw zero-copy and returns Verify's error.
+func verifyMapped(t *testing.T, raw []byte) error {
+	t.Helper()
+	s, err := OpenSlabMmap(writeTempArtifact(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	return s.Verify()
+}
+
+// TestVerifyPrecedence pins the order of Verify's findings across chunks:
+// a bad node in the last chunk loses to a wrong checksum and to non-zero
+// padding, and of two bad nodes in different chunks the first is named.
+func TestVerifyPrecedence(t *testing.T) {
+	raw := verifyFixture(t)
+	lay := v3LayoutFor(5461)
+	rec := func(i, c int) int { return int(lay.recordsOff) + i*v3RecordSize + 8*c }
+	badLast := patchV3CRC(putF64(raw, rec(5000, 0), math.Inf(1)))
+	if err := verifyMapped(t, raw); err != nil {
+		t.Fatalf("clean fixture: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"bad node in last chunk", badLast, "core: release node 5000 has non-finite rect"},
+		{"bad node and wrong checksum", corrupt(badLast, int(lay.footerOff), badLast[lay.footerOff]^1), "core: binary release checksum mismatch"},
+		{"bad node and non-zero padding", patchV3CRC(corrupt(badLast, int(lay.recordsEnd), 1)), "core: binary release has non-zero section padding"},
+		{"bad nodes in two chunks", patchV3CRC(putF64(badLast, rec(2000, 2), math.NaN())), "core: release node 2000 has non-finite rect"},
+		{"two bad nodes in one chunk", patchV3CRC(putF64(putF64(raw, rec(4999, 1), math.NaN()), rec(4801, 3), -1)), "core: release node 4801 has inverted rect"},
+	} {
+		err := verifyMapped(t, tc.data)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestVerifyAllocs pins Verify on a mapped artifact at zero allocations.
+func TestVerifyAllocs(t *testing.T) {
+	raw := verifyFixture(t)
+	s, err := OpenSlabMmap(writeTempArtifact(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Verify allocates %v times per run, want 0", allocs)
 	}
 }

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"sync"
 	"time"
+
+	"psd/internal/checksum"
 )
 
 // Ledger is a durable, per-name privacy-budget journal: the persistence
@@ -57,8 +58,6 @@ type LedgerRecord struct {
 }
 
 const ledgerLinePrefix = "PSDL1 "
-
-var ledgerCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // OpenLedger opens (creating if absent) the journal at path and replays it.
 // budget is the per-name ε budget every replayed and future charge is
@@ -144,7 +143,7 @@ func parseLedgerLine(line []byte) (LedgerRecord, error) {
 		return rec, fmt.Errorf("bad checksum: %v", err)
 	}
 	payload := rest[sp+1:]
-	if crc64.Checksum(payload, ledgerCRCTable) != want {
+	if checksum.Checksum(payload, checksum.ECMA) != want {
 		return rec, fmt.Errorf("checksum mismatch")
 	}
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -216,7 +215,7 @@ func (l *Ledger) Charge(name, label string, eps float64) error {
 	if err != nil {
 		return fmt.Errorf("dp: ledger: encoding record: %w", err)
 	}
-	line := fmt.Sprintf("%s%016x %s\n", ledgerLinePrefix, crc64.Checksum(payload, ledgerCRCTable), payload)
+	line := fmt.Sprintf("%s%016x %s\n", ledgerLinePrefix, checksum.Checksum(payload, checksum.ECMA), payload)
 	if _, err := l.f.WriteString(line); err != nil {
 		return l.rollbackTail(fmt.Errorf("dp: ledger append failed (nothing charged, abort the publication): %w", err))
 	}

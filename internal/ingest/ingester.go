@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"log"
 	"math"
@@ -400,7 +399,7 @@ func (in *Ingester) completeVersion(rec VersionRecord, pts []psd.Point) (*Publis
 		return nil, err
 	}
 	path := in.artifactPath(rec.Version)
-	sum := crc64.New(artifactCRCTable)
+	sum := newFingerprint()
 	n, err := atomicfile.Write(path, func(w io.Writer) error {
 		return tree.WriteBinaryV3Release(io.MultiWriter(w, sum))
 	})

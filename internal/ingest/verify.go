@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"hash/crc64"
 	"io"
 
 	"psd"
@@ -56,7 +55,7 @@ func (in *Ingester) Verify() ([]VersionCheck, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: rebuilding v%d: %w", rec.Version, err)
 		}
-		sum := crc64.New(artifactCRCTable)
+		sum := newFingerprint()
 		if err := tree.WriteBinaryV3Release(sum); err != nil {
 			return nil, fmt.Errorf("ingest: serializing rebuilt v%d: %w", rec.Version, err)
 		}
@@ -66,7 +65,7 @@ func (in *Ingester) Verify() ([]VersionCheck, error) {
 		if f, err := in.fs.Open(path); err != nil {
 			c.Pruned = true
 		} else {
-			fsum := crc64.New(artifactCRCTable)
+			fsum := newFingerprint()
 			_, cpErr := io.Copy(fsum, f)
 			f.Close()
 			if cpErr != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
+	"hash"
 	"os"
 	"sort"
 	"time"
+
+	"psd/internal/checksum"
 )
 
 // The versions journal is the publish-cycle commit log. Each publication
@@ -37,9 +39,7 @@ import (
 // corruption.
 const journalLinePrefix = "PSDJ1 "
 
-var journalCRCTable = crc64.MakeTable(crc64.ECMA)
-
-// artifactCRCTable fingerprints published artifacts. It deliberately uses a
+// newFingerprint hashes a published artifact. It deliberately uses a
 // DIFFERENT polynomial (ISO) than the CRC-64/ECMA checksum the v3 artifact
 // embeds in its own footer: a CRC taken over a message that ends with that
 // message's own CRC (same polynomial) collapses to a fixed residue constant,
@@ -47,7 +47,7 @@ var journalCRCTable = crc64.MakeTable(crc64.ECMA)
 // releases apart. With a distinct polynomial the fingerprint is a real
 // function of the bytes, so the verify audit's three-way bit-compare
 // (journal vs rebuild vs on-disk) actually discriminates.
-var artifactCRCTable = crc64.MakeTable(crc64.ISO)
+func newFingerprint() hash.Hash64 { return checksum.New(checksum.ISO) }
 
 // Journal phases.
 const (
@@ -159,7 +159,7 @@ func parseJournalLine(line []byte) (VersionRecord, error) {
 		return rec, fmt.Errorf("bad checksum: %v", err)
 	}
 	payload := rest[sp+1:]
-	if crc64.Checksum(payload, journalCRCTable) != want {
+	if checksum.Checksum(payload, checksum.ECMA) != want {
 		return rec, fmt.Errorf("checksum mismatch")
 	}
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -209,7 +209,7 @@ func (j *Journal) appendRecord(rec VersionRecord) error {
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("%s%016x %s\n", journalLinePrefix, crc64.Checksum(payload, journalCRCTable), payload)
+	line := fmt.Sprintf("%s%016x %s\n", journalLinePrefix, checksum.Checksum(payload, checksum.ECMA), payload)
 	if _, err := j.f.WriteString(line); err != nil {
 		return fmt.Errorf("ingest: versions journal append: %w", err)
 	}

@@ -15,7 +15,6 @@ package ingest
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
@@ -23,6 +22,7 @@ import (
 	"sort"
 
 	"psd"
+	"psd/internal/checksum"
 )
 
 // WAL segment format. A WAL is a directory of segment files
@@ -55,8 +55,6 @@ const (
 	// DefaultMaxSegmentBytes rotates segments at 16 MiB (~1M points each).
 	DefaultMaxSegmentBytes = 16 << 20
 )
-
-var walCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // WAL is an open write-ahead log: an append handle on the active segment
 // plus the replayed totals. It is NOT internally locked — the Ingester
@@ -234,7 +232,7 @@ func decodeFrames(data []byte) (pts []psd.Point, valid int, err error) {
 			return pts, valid, fmt.Errorf("torn frame (%d of %d bytes)", len(rest), total)
 		}
 		want := binary.LittleEndian.Uint64(rest[frameLenBytes+plen:])
-		if crc64.Checksum(rest[:frameLenBytes+plen], walCRCTable) != want {
+		if checksum.Checksum(rest[:frameLenBytes+plen], checksum.ECMA) != want {
 			return pts, valid, fmt.Errorf("frame checksum mismatch")
 		}
 		payload := rest[frameLenBytes : frameLenBytes+plen]
@@ -257,7 +255,7 @@ func encodeFrame(buf []byte, pts []psd.Point) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, float64bits(p.X))
 		buf = binary.LittleEndian.AppendUint64(buf, float64bits(p.Y))
 	}
-	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf[start:], walCRCTable))
+	return binary.LittleEndian.AppendUint64(buf, checksum.Checksum(buf[start:], checksum.ECMA))
 }
 
 // createSegment makes segment seq visible with the atomicfile rename

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"sort"
 	"time"
 
 	"psd"
+	"psd/internal/checksum"
 )
 
 // Manifest-driven rollouts: a manifest names a versioned set of release
@@ -47,12 +47,10 @@ type ManifestEntry struct {
 	CRC64 string `json:"crc64"`
 }
 
-var manifestCRCTable = crc64.MakeTable(crc64.ECMA)
-
 // ChecksumBytes returns the hex CRC-64/ECMA of data, the value a
 // ManifestEntry.CRC64 must carry.
 func ChecksumBytes(data []byte) string {
-	return fmt.Sprintf("%016x", crc64.Checksum(data, manifestCRCTable))
+	return fmt.Sprintf("%016x", checksum.Checksum(data, checksum.ECMA))
 }
 
 // Validate rejects manifests that could not be applied unambiguously.

@@ -2,7 +2,8 @@
 # Static-analysis gate — the exact entry point CI's lint job runs, so a
 # local `bash scripts/lint.sh` reproduces the gate before pushing.
 #
-# Hard gate: go vet, then psdlint (the project's custom analyzer suite:
+# Hard gate: gofmt (every .go file outside testdata/ fixtures), go vet,
+# then psdlint (the project's custom analyzer suite:
 # determinism, fsyncdiscipline, unsafeconfine, closecheck, ctxpoll) driven
 # through `go vet -vettool` so package loading, caching, and test-variant
 # packages behave exactly as vet does.
@@ -12,6 +13,15 @@
 # skipped, not failed, because this container must stay offline-buildable).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted="$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.git/*' \
+  -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files are not formatted (run gofmt -w on them):"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
