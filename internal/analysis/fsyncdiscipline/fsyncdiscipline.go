@@ -20,12 +20,14 @@ import (
 )
 
 // scopePrefixes are package paths (exact or prefix) whose writes are presumed
-// durable: the ingest tier, the serving tier, the privacy ledger, and every
-// command that publishes artifacts (releases, datasets, BENCH reports).
+// durable: the ingest tier, the serving tier, the privacy ledger, the record
+// log under the ledger and the publish journal, and every command that
+// publishes artifacts (releases, datasets, BENCH reports).
 var scopePrefixes = []string{
 	"psd/internal/ingest",
 	"psd/internal/serve",
 	"psd/internal/dp",
+	"psd/internal/recordlog",
 	"psd/internal/atomicfile",
 	"psd/cmd/",
 }

@@ -11,6 +11,10 @@ func TestIngestScope(t *testing.T) {
 	analysistest.Run(t, fsyncdiscipline.Analyzer, "psd/internal/ingest")
 }
 
+func TestRecordLogScope(t *testing.T) {
+	analysistest.Run(t, fsyncdiscipline.Analyzer, "psd/internal/recordlog")
+}
+
 func TestCmdScope(t *testing.T) {
 	analysistest.Run(t, fsyncdiscipline.Analyzer, "psd/cmd/psdbench")
 }

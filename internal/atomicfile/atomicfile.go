@@ -41,11 +41,19 @@ func Write(path string, write func(io.Writer) error) (int64, error) {
 	}
 	// Sync the directory so the rename itself survives a crash. Best-effort:
 	// some filesystems refuse directory fsync, and the data is already safe.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	_ = SyncDir(dir)
 	return n, nil
+}
+
+// SyncDir fsyncs a directory, making the creations and renames in it
+// durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // writeTo fills the temp file: buffered write, flush, fsync, then the mode

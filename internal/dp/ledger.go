@@ -1,14 +1,11 @@
 package dp
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
-	"psd/internal/checksum"
+	"psd/internal/recordlog"
 )
 
 // Ledger is a durable, per-name privacy-budget journal: the persistence
@@ -19,33 +16,21 @@ import (
 // and publish leaves the ledger over-counting (an unpublished epoch), never
 // under-counting, which is the safe direction for a privacy budget.
 //
-// The journal is append-only; each record is one line
+// The journal is a recordlog with one line per charge
 //
 //	PSDL1 <crc64-hex> <json>\n
 //
-// with the CRC-64/ECMA taken over the JSON bytes. Opening a ledger replays
-// the journal into one Accountant per name (all sharing the configured
-// per-name budget). A torn or corrupt final line — the shape a crash
-// mid-append leaves — is truncated away; corruption before the final line
-// means acknowledged spend records are unreadable, and the open fails loudly
-// rather than silently under-count.
+// Opening a ledger replays it into one Accountant per name (all sharing the
+// configured per-name budget). A torn final line is truncated away;
+// corruption before the final line means acknowledged spend records are
+// unreadable, and the open fails loudly rather than silently under-count.
 type Ledger struct {
 	mu     sync.Mutex
-	path   string
-	f      *os.File
+	log    *recordlog.Log[LedgerRecord]
 	budget float64
 	seq    uint64
-	// off is the durable end of the journal — the offset every successful
-	// append advances and every failed append rolls the file back to, so the
-	// on-disk record sequence never gaps.
-	off    int64
 	accts  map[string]*Accountant
 	labels map[string]map[string]bool
-	// broken, once set, refuses further charges: a failed append could not
-	// be rolled back, so the journal tail is in an unknown state and a
-	// further append could write a gapped or duplicate seq that the next
-	// open would refuse to replay. Reopening recovers.
-	broken error
 }
 
 // LedgerRecord is the JSON shape of one journal line.
@@ -63,96 +48,21 @@ const ledgerLinePrefix = "PSDL1 "
 // budget is the per-name ε budget every replayed and future charge is
 // admitted against.
 func OpenLedger(path string, budget float64) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
 	l := &Ledger{
-		path:   path,
-		f:      f,
 		budget: budget,
 		accts:  make(map[string]*Accountant),
 		labels: make(map[string]map[string]bool),
 	}
-	if err := l.replay(); err != nil {
-		_ = f.Close() // the replay error wins; nothing was written yet
-		return nil, err
+	log, err := recordlog.Open(path, ledgerLinePrefix, l.apply)
+	if err != nil {
+		return nil, fmt.Errorf("dp: ledger: %w", err)
 	}
+	l.log = log
 	return l, nil
 }
 
-// replay reads the whole journal, validates each framed line, applies the
-// charges, and truncates a torn tail.
-func (l *Ledger) replay() error {
-	data, err := os.ReadFile(l.path)
-	if err != nil {
-		return err
-	}
-	valid := 0
-	for len(data) > valid {
-		rest := data[valid:]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			// No newline: a torn final line (crash mid-append). Truncate.
-			break
-		}
-		line := rest[:nl]
-		rec, err := parseLedgerLine(line)
-		if err != nil {
-			// A framed line that fails its checksum can only be the torn or
-			// bit-flipped tail of the last append — unless complete records
-			// follow it, which would mean acknowledged spend is unreadable.
-			if bytes.IndexByte(rest[nl+1:], '\n') >= 0 {
-				return fmt.Errorf("dp: ledger %s corrupt at byte %d (records follow): %v", l.path, valid, err)
-			}
-			break
-		}
-		if err := l.apply(rec); err != nil {
-			return fmt.Errorf("dp: ledger %s replay: %w", l.path, err)
-		}
-		valid += nl + 1
-	}
-	if valid < len(data) {
-		if err := l.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("dp: ledger %s: truncating torn tail: %w", l.path, err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	if _, err := l.f.Seek(int64(valid), 0); err != nil {
-		return err
-	}
-	l.off = int64(valid)
-	return nil
-}
-
-// parseLedgerLine validates one framed journal line.
-func parseLedgerLine(line []byte) (LedgerRecord, error) {
-	var rec LedgerRecord
-	if !bytes.HasPrefix(line, []byte(ledgerLinePrefix)) {
-		return rec, fmt.Errorf("bad line prefix")
-	}
-	rest := line[len(ledgerLinePrefix):]
-	sp := bytes.IndexByte(rest, ' ')
-	if sp != 16 {
-		return rec, fmt.Errorf("bad checksum field")
-	}
-	var want uint64
-	if _, err := fmt.Sscanf(string(rest[:sp]), "%016x", &want); err != nil {
-		return rec, fmt.Errorf("bad checksum: %v", err)
-	}
-	payload := rest[sp+1:]
-	if checksum.Checksum(payload, checksum.ECMA) != want {
-		return rec, fmt.Errorf("checksum mismatch")
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("bad record json: %v", err)
-	}
-	return rec, nil
-}
-
-// apply admits one replayed record into the in-memory state.
+// apply admits one record into the in-memory state: every replayed record,
+// and every new charge once it is durable.
 func (l *Ledger) apply(rec LedgerRecord) error {
 	if rec.Name == "" || rec.Seq != l.seq+1 {
 		return fmt.Errorf("record %d out of sequence (want %d) or unnamed", rec.Seq, l.seq+1)
@@ -191,72 +101,24 @@ func (l *Ledger) acct(name string) *Accountant {
 // so the open ledger never runs ahead of the disk and a later successful
 // charge can never write a gapped seq the next open would refuse to replay.
 // On a refused charge nothing is recorded anywhere. On an append or sync
-// FAILURE the journal tail is rolled back to the pre-call offset (the bytes
-// may or may not have reached the disk; truncating restores a known state),
-// the charge is not counted, and the error tells the caller to abort the
-// publication. If even the rollback fails the ledger latches a broken state
-// that refuses every further charge until a reopen replays the disk — the
-// invariant either way is that the durable ledger never under-counts the ε
-// of anything published.
+// failure the journal is rolled back to its last durable record, the charge
+// is not counted, and the error tells the caller to abort the publication;
+// if even the rollback fails, every further charge is refused until a
+// reopen replays the disk. Either way the durable ledger never under-counts
+// the ε of anything published.
 func (l *Ledger) Charge(name, label string, eps float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil {
-		return fmt.Errorf("dp: ledger is offline after an unrecovered append failure (reopen to recover): %w", l.broken)
-	}
-	a := l.acct(name)
-	if !a.CanCharge(eps) {
+	if a := l.acct(name); !a.CanCharge(eps) {
 		// Refused: Charge on the accountant reports the detailed reason and
 		// records nothing.
 		return a.Charge(label, eps)
 	}
 	rec := LedgerRecord{Seq: l.seq + 1, Name: name, Label: label, Eps: eps, At: time.Now().UTC()} //lint:allow determinism -- ledger timestamps are audit metadata on the durable journal, never release bytes
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("dp: ledger: encoding record: %w", err)
+	if err := l.log.Append(rec); err != nil {
+		return fmt.Errorf("dp: ledger charge failed (nothing charged, abort the publication): %w", err)
 	}
-	line := fmt.Sprintf("%s%016x %s\n", ledgerLinePrefix, checksum.Checksum(payload, checksum.ECMA), payload)
-	if _, err := l.f.WriteString(line); err != nil {
-		return l.rollbackTail(fmt.Errorf("dp: ledger append failed (nothing charged, abort the publication): %w", err))
-	}
-	if err := l.f.Sync(); err != nil {
-		return l.rollbackTail(fmt.Errorf("dp: ledger sync failed (nothing charged, abort the publication): %w", err))
-	}
-	l.off += int64(len(line))
-	l.seq = rec.Seq
-	if err := a.Charge(label, eps); err != nil {
-		// Unreachable: CanCharge admitted the same eps under the same lock.
-		return err
-	}
-	set := l.labels[name]
-	if set == nil {
-		set = make(map[string]bool)
-		l.labels[name] = set
-	}
-	set[label] = true
 	return nil
-}
-
-// rollbackTail restores the journal to the last durable record boundary
-// after a failed append: truncate back to off, make the truncation durable,
-// and reposition the write offset. If any of that fails the tail is in an
-// unknown state and the ledger latches broken — a further append could
-// produce a gapped or duplicate seq, which the next open would (rightly)
-// refuse to replay.
-func (l *Ledger) rollbackTail(cause error) error {
-	if err := l.f.Truncate(l.off); err != nil {
-		l.broken = fmt.Errorf("%w (and tail rollback failed: %v)", cause, err)
-		return l.broken
-	}
-	if err := l.f.Sync(); err != nil {
-		l.broken = fmt.Errorf("%w (and tail rollback sync failed: %v)", cause, err)
-		return l.broken
-	}
-	if _, err := l.f.Seek(l.off, 0); err != nil {
-		l.broken = fmt.Errorf("%w (and seek after rollback failed: %v)", cause, err)
-		return l.broken
-	}
-	return cause
 }
 
 // CanCharge reports whether a Charge of eps for name would be admitted,
@@ -315,5 +177,5 @@ func (l *Ledger) Charges(name string) []Charge {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.log.Close()
 }

@@ -210,7 +210,7 @@ func TestLedgerAppendFailureLatchesAndRecovers(t *testing.T) {
 	}
 	// Close the handle out from under the ledger: the append fails, and so
 	// does the rollback truncate — the broken-latch path.
-	l.f.Close()
+	l.log.Close()
 	if err := l.Charge("roads", "roads@v2", 1); err == nil {
 		t.Fatal("charge with failed append reported success")
 	}
@@ -270,5 +270,31 @@ func TestLedgerReplayExceedsBudget(t *testing.T) {
 	}
 	if err := l2.Charge("roads", "roads@v2", 0.01); err == nil {
 		t.Fatal("charge admitted past exhausted budget")
+	}
+}
+
+// TestLedgerRefusesUnreplayableCharge pins that a charge the replay would
+// refuse (an unnamed one) is never left on disk: it fails, and the ledger
+// still reopens and keeps charging.
+func TestLedgerRefusesUnreplayableCharge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger")
+	l, err := OpenLedger(path, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Charge("", "anon@v1", 0.1); err == nil {
+		t.Fatal("unnamed charge admitted")
+	}
+	if err := l.Charge("roads", "roads@v1", 0.1); err != nil {
+		t.Fatalf("charge after a refused one: %v", err)
+	}
+	l.Close()
+	l2, err := OpenLedger(path, 1.0)
+	if err != nil {
+		t.Fatalf("ledger left unreplayable: %v", err)
+	}
+	defer l2.Close()
+	if got := l2.Spent("roads"); math.Abs(got-0.1) > 1e-12 {
+		t.Fatalf("replayed Spent = %v, want 0.1", got)
 	}
 }

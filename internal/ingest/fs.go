@@ -6,6 +6,8 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+
+	"psd/internal/atomicfile"
 )
 
 // FS is the ingest tier's filesystem seam: every byte the WAL writes or
@@ -66,11 +68,4 @@ func (osFS) Glob(pattern string) ([]string, error)   { return filepath.Glob(patt
 func (osFS) Rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                { return os.Remove(name) }
 func (osFS) Truncate(name string, size int64) error  { return os.Truncate(name, size) }
-func (osFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
+func (osFS) SyncDir(dir string) error                { return atomicfile.SyncDir(dir) }

@@ -169,7 +169,7 @@ func versionLabel(name string, v int) string { return fmt.Sprintf("%s@v%d", name
 
 // artifactPath is where version v's release artifact lives.
 func (in *Ingester) artifactPath(v int) string {
-	return filepath.Join(in.cfg.PublishDir, fmt.Sprintf("%s@v%d.bin", in.cfg.Name, v))
+	return filepath.Join(in.cfg.PublishDir, versionLabel(in.cfg.Name, v)+".bin")
 }
 
 // Open opens (creating if needed) the ingest state under cfg.StateDir,

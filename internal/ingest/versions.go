@@ -1,15 +1,11 @@
 package ingest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"hash"
-	"os"
 	"sort"
 	"time"
 
-	"psd/internal/checksum"
+	"psd/internal/recordlog"
 )
 
 // The versions journal is the publish-cycle commit log. Each publication
@@ -31,23 +27,10 @@ import (
 // release can ever be un-charged; the worst crash outcome is a charged,
 // never-visible epoch — over-counting, the safe direction.
 //
-// Journal lines use the same framed discipline as the privacy ledger:
+// Journal lines use the same recordlog framing as the privacy ledger:
 //
 //	PSDJ1 <crc64-hex> <json>\n
-//
-// with torn-tail truncation on open and a loud failure on mid-file
-// corruption.
 const journalLinePrefix = "PSDJ1 "
-
-// newFingerprint hashes a published artifact. It deliberately uses a
-// DIFFERENT polynomial (ISO) than the CRC-64/ECMA checksum the v3 artifact
-// embeds in its own footer: a CRC taken over a message that ends with that
-// message's own CRC (same polynomial) collapses to a fixed residue constant,
-// the same for EVERY valid artifact — useless for telling two different
-// releases apart. With a distinct polynomial the fingerprint is a real
-// function of the bytes, so the verify audit's three-way bit-compare
-// (journal vs rebuild vs on-disk) actually discriminates.
-func newFingerprint() hash.Hash64 { return checksum.New(checksum.ISO) }
 
 // Journal phases.
 const (
@@ -82,8 +65,7 @@ type versionState struct {
 
 // Journal is the open versions journal.
 type Journal struct {
-	path     string
-	f        *os.File
+	log      *recordlog.Log[VersionRecord]
 	seq      uint64
 	versions map[int]*versionState
 	maxVer   int
@@ -94,80 +76,17 @@ type Journal struct {
 // records following fails loudly (acknowledged publish history would be
 // unreadable).
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j := &Journal{versions: make(map[int]*versionState)}
+	log, err := recordlog.Open(path, journalLinePrefix, j.apply)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: versions journal: %w", err)
 	}
-	j := &Journal{path: path, f: f, versions: make(map[int]*versionState)}
-	if err := j.replay(); err != nil {
-		_ = f.Close() // the replay error wins; nothing was written yet
-		return nil, err
-	}
+	j.log = log
 	return j, nil
 }
 
-func (j *Journal) replay() error {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return err
-	}
-	valid := 0
-	for len(data) > valid {
-		rest := data[valid:]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break
-		}
-		rec, err := parseJournalLine(rest[:nl])
-		if err != nil {
-			if bytes.IndexByte(rest[nl+1:], '\n') >= 0 {
-				return fmt.Errorf("ingest: versions journal %s corrupt at byte %d (records follow): %v", j.path, valid, err)
-			}
-			break
-		}
-		if err := j.apply(rec); err != nil {
-			return fmt.Errorf("ingest: versions journal %s replay: %w", j.path, err)
-		}
-		valid += nl + 1
-	}
-	if valid < len(data) {
-		if err := j.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("ingest: versions journal %s: truncating torn tail: %w", j.path, err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-	}
-	if _, err := j.f.Seek(int64(valid), 0); err != nil {
-		return err
-	}
-	return nil
-}
-
-func parseJournalLine(line []byte) (VersionRecord, error) {
-	var rec VersionRecord
-	if !bytes.HasPrefix(line, []byte(journalLinePrefix)) {
-		return rec, fmt.Errorf("bad line prefix")
-	}
-	rest := line[len(journalLinePrefix):]
-	sp := bytes.IndexByte(rest, ' ')
-	if sp != 16 {
-		return rec, fmt.Errorf("bad checksum field")
-	}
-	var want uint64
-	if _, err := fmt.Sscanf(string(rest[:sp]), "%016x", &want); err != nil {
-		return rec, fmt.Errorf("bad checksum: %v", err)
-	}
-	payload := rest[sp+1:]
-	if checksum.Checksum(payload, checksum.ECMA) != want {
-		return rec, fmt.Errorf("checksum mismatch")
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("bad record json: %v", err)
-	}
-	return rec, nil
-}
-
+// apply advances the publish state machine by one record: every replayed
+// record, and every new one once it is durable.
 func (j *Journal) apply(rec VersionRecord) error {
 	if rec.Seq != j.seq+1 {
 		return fmt.Errorf("record %d out of sequence (want %d)", rec.Seq, j.seq+1)
@@ -201,22 +120,14 @@ func (j *Journal) apply(rec VersionRecord) error {
 	return nil
 }
 
-// appendRecord frames, appends, and fsyncs one record.
+// appendRecord stamps rec with the next seq and makes it durable.
 func (j *Journal) appendRecord(rec VersionRecord) error {
 	rec.Seq = j.seq + 1
 	rec.At = time.Now().UTC()
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	if err := j.log.Append(rec); err != nil {
+		return fmt.Errorf("ingest: versions journal: %w", err)
 	}
-	line := fmt.Sprintf("%s%016x %s\n", journalLinePrefix, checksum.Checksum(payload, checksum.ECMA), payload)
-	if _, err := j.f.WriteString(line); err != nil {
-		return fmt.Errorf("ingest: versions journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: versions journal sync: %w", err)
-	}
-	return j.apply(rec)
+	return nil
 }
 
 // Intent durably records the decision to publish version v over the first
@@ -281,4 +192,4 @@ func (j *Journal) Latest() (VersionRecord, bool) {
 }
 
 // Close releases the journal file handle.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }

@@ -23,6 +23,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"psd/internal/atomicfile"
 )
 
 // Fault describes what should go wrong for one path. The zero value injects
@@ -270,14 +272,7 @@ func (f *FS) Truncate(name string, size int64) error { return os.Truncate(name, 
 
 // SyncDir implements the seam (never faulted; per-file SyncErr covers the
 // interesting ack-durability surface).
-func (f *FS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
+func (f *FS) SyncDir(dir string) error { return atomicfile.SyncDir(dir) }
 
 // faultWriter appends through a write fault: WriteErr once WriteErrAfter
 // bytes were accepted (the accepted prefix reaches the disk), SyncErr on

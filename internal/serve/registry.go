@@ -338,11 +338,19 @@ func (g *Registry) Register(name, source string, r io.Reader) (*Release, error) 
 	if err != nil {
 		return nil, err
 	}
+	return g.install(name, source, slab, cr.n), nil
+}
+
+// install wraps a validated slab in a fresh Release and swaps it in under
+// name. The atomic swap drops any previous release of this name; if that
+// one was mmap-backed, its mapping is released by the GC cleanup once
+// in-flight queries against it finish (Close here would race them).
+func (g *Registry) install(name, source string, slab *psd.Slab, size int64) *Release {
 	rel := &Release{
 		Name:       name,
 		Slab:       slab,
 		Source:     source,
-		Bytes:      cr.n,
+		Bytes:      size,
 		LoadedAt:   time.Now(),
 		NumRegions: slab.NumRegions(),
 		cache:      NewCache(g.cacheSize),
@@ -351,7 +359,7 @@ func (g *Registry) Register(name, source string, r io.Reader) (*Release, error) 
 	g.entries[name] = rel
 	g.noteInstallLocked(name)
 	g.mu.Unlock()
-	return rel, nil
+	return rel
 }
 
 // validateName keeps registry names unambiguous in URLs and file names.
@@ -426,23 +434,7 @@ func (g *Registry) loadFileDirect(so slabOpener, name, path string) (*Release, b
 	if info, err := g.fs().Stat(path); err == nil {
 		size = info.Size()
 	}
-	rel := &Release{
-		Name:       name,
-		Slab:       slab,
-		Source:     path,
-		Bytes:      size,
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
-	}
-	// The atomic swap drops any previous release of this name; if that one
-	// was mmap-backed, its mapping is released by the GC cleanup once
-	// in-flight queries against it finish (Close here would race them).
-	g.mu.Lock()
-	g.entries[name] = rel
-	g.noteInstallLocked(name)
-	g.mu.Unlock()
-	return rel, false, nil
+	return g.install(name, path, slab, size), false, nil
 }
 
 // ScanDir loads every *.json and *.bin artifact in dir, naming each release
