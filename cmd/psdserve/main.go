@@ -78,7 +78,7 @@ func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("psdserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("dir", "", "watch directory: serve every *.json/*.bin in it, rescanned by POST /v1/reload")
-	cacheSize := fs.Int("cache", 1<<16, "per-release answer cache capacity (0 disables)")
+	cacheSize := fs.Int("cache", 1<<16, "at most N answers per release; memory grows with answers held (0 disables)")
 	maxBody := fs.Int64("max-body", serve.DefaultMaxBodyBytes, "max request body bytes")
 	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch, "max rectangles per batch request")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrently served /v1 requests before shedding with 503 (0 disables)")

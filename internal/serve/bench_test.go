@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"psd"
@@ -46,11 +47,12 @@ func BenchmarkServeCount(b *testing.B) {
 
 // BenchmarkServeBatch measures Release.CountBatchIntoCtx — the engine call
 // behind the /batch endpoint — at serving batch sizes, with the cache off
-// (every rectangle runs through one node-major engine call) and fully warm
-// (every rectangle is a hit). Allocs are the headline: the acceptance bar
-// is 0 allocs/op steady-state for both, since the miss scratch and the
-// engine's traversal state are pooled (cache-miss insertions are excluded
-// by construction: nocache never inserts, cachehit never misses).
+// (every rectangle runs through one node-major engine call), fully warm
+// (every rectangle is a hit), and full of other answers while every
+// rectangle is new (every rectangle misses and its insert evicts). Allocs
+// are the headline: the acceptance bar is 0 allocs/op steady-state for all
+// three, since the miss scratch and the engine's traversal state are
+// pooled and a full cache recycles its least recently used entries.
 func BenchmarkServeBatch(b *testing.B) {
 	tree := buildTree(b, 79)
 	var artifact bytes.Buffer
@@ -70,9 +72,11 @@ func BenchmarkServeBatch(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
 		cacheSize int
+		fresh     bool // every batch's rectangles are new ones
 	}{
-		{"nocache", 0},
-		{"cachehit", 1 << 14},
+		{"nocache", 0, false},
+		{"cachehit", 1 << 14, false},
+		{"cachemiss", 1 << 10, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			reg := NewRegistry(mode.cacheSize)
@@ -81,12 +85,30 @@ func BenchmarkServeBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
+			batch := slices.Clone(qs)
 			vals := make([]float64, len(qs))
-			rel.CountBatchIntoCtx(ctx, vals, qs, 1) // warm the cache and the pools
+			round := 0
+			next := func() {
+				if mode.fresh {
+					// Nudge every upper x bound to a value no earlier batch used.
+					round++
+					for j, q := range qs {
+						q.Hi.X += float64(round) * 1e-9 * d.Width()
+						batch[j] = q
+					}
+				}
+				rel.CountBatchIntoCtx(ctx, vals, batch, 1)
+			}
+			// Warm the pools and, for fresh rectangles, fill the cache so
+			// every timed insert evicts.
+			next()
+			for mode.fresh && rel.cache.Len() < mode.cacheSize {
+				next()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel.CountBatchIntoCtx(ctx, vals, qs, 1)
+				next()
 			}
 			b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})
