@@ -212,8 +212,11 @@ func runVerify(args []string, logger *log.Logger, out io.Writer) error {
 			bad++
 		}
 		artifact := c.ArtifactCRC
-		if c.Pruned {
+		switch {
+		case c.Pruned:
 			artifact = "(pruned)"
+		case artifact == "":
+			artifact = "(missing)"
 		}
 		fmt.Fprintf(out, "v%d\t%d points\tjournal=%s rebuilt=%s artifact=%s\t%s\n",
 			c.Version, c.Points, c.JournalCRC, c.RebuiltCRC, artifact, status)

@@ -218,10 +218,13 @@ func TestPublishLoopStopsOnCancel(t *testing.T) {
 }
 
 // TestVerifySubcommand runs the audit against a real publish history, then
-// corrupts an artifact and expects the bit-compare to fail loudly.
+// corrupts an artifact and expects the bit-compare to fail loudly. The
+// history is published with -keep 1 and audited without -keep, as the
+// usage documents: the pruned v1 passes.
 func TestVerifySubcommand(t *testing.T) {
 	state, publish := testDirs(t)
 	cfg := testConfig(t, state, publish, 10)
+	cfg.Keep = 1
 	in, err := ingest.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +256,8 @@ func TestVerifySubcommand(t *testing.T) {
 	if err := runVerify(args, logger, &out); err != nil {
 		t.Fatalf("verify on a clean history: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "2 versions, all byte-identical") {
+	if !strings.Contains(out.String(), "2 versions, all byte-identical") ||
+		!strings.Contains(out.String(), "artifact=(pruned)") {
 		t.Fatalf("verify output:\n%s", out.String())
 	}
 

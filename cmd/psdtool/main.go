@@ -22,9 +22,10 @@
 // -out and convert's -out choose the release encoding by file extension:
 // ".bin" writes the record-major binary format v3, which psdserve opens
 // zero-copy via mmap, and anything else writes the versioned JSON format 1.
-// convert reads any format (JSON, the read-only legacy v2, v3), sniffing
-// the leading bytes, so upgrading a v2 artifact is `convert -out x.bin`;
-// v2 read support is permanent.
+// Both print the written artifact's fingerprint, the value a rollout
+// manifest pins. convert reads any format (JSON, the read-only legacy v2,
+// v3), sniffing the leading bytes, so upgrading a v2 artifact is
+// `convert -out x.bin`; v2 read support is permanent.
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 
 	"psd"
 	"psd/internal/atomicfile"
+	"psd/internal/checksum"
 	"psd/internal/geom"
 )
 
@@ -123,11 +125,12 @@ func main() {
 		fmt.Printf("count %v = %.1f\n", q, tree.Count(q))
 	}
 	if *out != "" {
-		n, err := writeRelease(tree, *out)
+		n, fp, err := writeRelease(tree, *out)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("# wrote %s release to %s (%d bytes)\n", formatOf(*out), *out, n)
+		fmt.Printf("# wrote %s release to %s (%d bytes) fingerprint %s\n",
+			formatOf(*out), *out, n, checksum.FormatFingerprint(fp))
 	}
 	if *regions {
 		rects, counts := tree.Regions()
@@ -185,16 +188,21 @@ func formatOf(path string) string {
 }
 
 // writeArtifact publishes write's output at path crash-safely — temp file,
-// fsync, atomic rename — returning the byte count. A psdserve watch-dir
+// fsync, atomic rename — returning the byte count and the artifact's
+// fingerprint, the value a rollout manifest pins. A psdserve watch-dir
 // rescan (or any reader) racing the write sees either the previous complete
 // artifact or the new one, never a prefix.
-func writeArtifact(path string, write func(io.Writer) error) (int64, error) {
-	return atomicfile.Write(path, write)
+func writeArtifact(path string, write func(io.Writer) error) (int64, uint64, error) {
+	sum := checksum.New(checksum.Fingerprint)
+	n, err := atomicfile.Write(path, func(w io.Writer) error {
+		return write(io.MultiWriter(w, sum))
+	})
+	return n, sum.Sum64(), err
 }
 
 // writeRelease serializes the tree's release to path in the
-// extension-selected format, returning the byte count.
-func writeRelease(tree *psd.Tree, path string) (int64, error) {
+// extension-selected format, returning the byte count and fingerprint.
+func writeRelease(tree *psd.Tree, path string) (int64, uint64, error) {
 	if formatOf(path) == "binary" {
 		return writeArtifact(path, tree.WriteBinaryV3Release)
 	}
@@ -219,41 +227,41 @@ func runConvert(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	slab, n, err := convert(*in, *out)
+	slab, n, fp, err := convert(*in, *out)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("# converted %s (%s h=%d eps=%g, %d regions) -> %s %s (%d bytes)\n",
+	fmt.Printf("# converted %s (%s h=%d eps=%g, %d regions) -> %s %s (%d bytes) fingerprint %s\n",
 		*in, slab.Kind(), slab.Height(), slab.PrivacyCost(), slab.NumRegions(),
-		formatOf(*out), *out, n)
+		formatOf(*out), *out, n, checksum.FormatFingerprint(fp))
 	slab.Close()
 }
 
 // convert opens the release at in (any format, sniffed; a v3 artifact is
 // mmap'd and fully verified rather than decoded) and writes it to out in
-// the selected format, returning the opened slab and the output size. Every
-// encoding carries the same artifact, so every conversion is lossless and
-// round trips re-serialize byte-identically.
-func convert(in, out string) (*psd.Slab, int64, error) {
+// the selected format, returning the opened slab and the output's size and
+// fingerprint. Every encoding carries the same artifact, so every
+// conversion is lossless and round trips re-serialize byte-identically.
+func convert(in, out string) (*psd.Slab, int64, uint64, error) {
 	slab, err := psd.OpenSlabFile(in)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", in, err)
+		return nil, 0, 0, fmt.Errorf("%s: %w", in, err)
 	}
 	// A zero-copy open skips the body checks a decode runs inline; verify
 	// before re-encoding so a corrupt input fails loudly instead of being
 	// laundered into a fresh checksummed artifact.
 	if err := slab.Verify(); err != nil {
 		slab.Close()
-		return nil, 0, fmt.Errorf("%s: %w", in, err)
+		return nil, 0, 0, fmt.Errorf("%s: %w", in, err)
 	}
 	write := slab.WriteRelease
 	if formatOf(out) == "binary" {
 		write = slab.WriteBinaryV3Release
 	}
-	n, err := writeArtifact(out, write)
+	n, fp, err := writeArtifact(out, write)
 	if err != nil {
 		slab.Close()
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return slab, n, nil
+	return slab, n, fp, nil
 }

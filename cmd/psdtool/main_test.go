@@ -3,12 +3,197 @@ package main
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"psd"
+	"psd/internal/checksum"
+	"psd/internal/ingest"
+	"psd/internal/serve"
+	"psd/internal/serve/faultfs"
 )
+
+// TestMain lets a test run the psdtool binary itself: with
+// PSDTOOL_RUN_MAIN=1 the test binary is psdtool (see runTool).
+func TestMain(m *testing.M) {
+	if os.Getenv("PSDTOOL_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runTool runs psdtool with args and returns what it printed.
+func runTool(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PSDTOOL_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("psdtool %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
+
+// appliesUnder reports whether a manifest pinning path to fingerprint fp
+// applies on a fresh replica over fsys (nil: the real filesystem, where a
+// v3 artifact is mapped; faultfs: the reader path).
+func appliesUnder(fsys serve.FS, path, fp string) error {
+	reg := serve.NewRegistry(0)
+	if fsys != nil {
+		reg.SetFS(fsys)
+	}
+	return reg.ApplyManifest(serve.Manifest{Version: "m", Releases: []serve.ManifestEntry{
+		{Name: "r", Path: path, Fingerprint: fp}}})
+}
+
+var printedFingerprint = regexp.MustCompile(`\(\d+ bytes\) fingerprint ([0-9a-f]{16})\n$`)
+
+// TestPrintedFingerprintApplies drives the real command: the fingerprint
+// that -out and convert print at the end of their summary line is the pin
+// a rollout manifest needs — ApplyManifest accepts it for that file on
+// both load paths.
+func TestPrintedFingerprintApplies(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "pts.csv")
+	if err := os.WriteFile(csv, []byte("1,1\n2,7\n8,3\n9,9\n5,5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		out  string
+		args []string
+	}{
+		{"built.bin", []string{"-data", csv, "-kind", "kd", "-height", "3"}},
+		{"built.json", []string{"-data", csv, "-kind", "kd", "-height", "3"}},
+		{"priv.bin", []string{"convert", "-in", filepath.Join("..", "..", "testdata", "release_privtree.v3.bin")}},
+		{"quad.bin", []string{"convert", "-in", filepath.Join("..", "..", "testdata", "release_quadtree.json")}},
+	} {
+		path := filepath.Join(dir, tc.out)
+		printed := runTool(t, append(tc.args, "-out", path)...)
+		m := printedFingerprint.FindStringSubmatch(printed)
+		if m == nil {
+			t.Fatalf("%s: no trailing fingerprint in %q", tc.out, printed)
+		}
+		for _, fsys := range []serve.FS{nil, faultfs.New()} {
+			if err := appliesUnder(fsys, path, m[1]); err != nil {
+				t.Errorf("%s: manifest pinning the printed %s refused: %v", tc.out, m[1], err)
+			}
+		}
+	}
+}
+
+// TestFingerprintOneIdentity pins the artifact identity across every path
+// that computes it. Over 7 kinds × heights {0, 2, 4} × {JSON, v3}, every
+// artifact gets a distinct fingerprint, and one artifact gets the same
+// fingerprint from psdtool's writer, the definition over the file's bytes,
+// the mmap Verify pass, the serving registry's mmap and reader load paths
+// (a manifest pinning it applies), and — for the v3 artifact the ingest
+// tier publishes, checked on two kinds — ingest publish and
+// Ingester.Verify.
+func TestFingerprintOneIdentity(t *testing.T) {
+	kinds := []psd.Kind{psd.QuadtreeKind, psd.KDTree, psd.KDHybrid, psd.HilbertRTree,
+		psd.KDCellTree, psd.KDNoisyMeanTree, psd.PrivTreeKind}
+	dom := psd.NewRect(0, 0, 1, 1)
+	pts := make([]psd.Point, 400)
+	for i := range pts {
+		pts[i] = psd.Point{X: float64(i*37%100)/100 + 0.005, Y: float64(i*61%100)/100 + 0.0025}
+	}
+	dir := t.TempDir()
+	seen := make(map[uint64]string)
+	for _, kind := range kinds {
+		for _, height := range []int{0, 2, 4} {
+			name := fmt.Sprintf("%v-h%d", kind, height)
+			tree, err := psd.Build(pts, dom, psd.Options{Kind: kind, Height: height, Seed: 7, Epsilon: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ext := range []string{".json", ".bin"} {
+				path := filepath.Join(dir, name+ext)
+				_, fp, err := writeRelease(tree, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if other, dup := seen[fp]; dup {
+					t.Fatalf("%s%s and %s share fingerprint %016x", name, ext, other, fp)
+				}
+				seen[fp] = name + ext
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := checksum.Checksum(data, checksum.Fingerprint); got != fp {
+					t.Errorf("%s%s: psdtool printed %016x, the bytes fingerprint %016x", name, ext, fp, got)
+				}
+				for _, fsys := range []serve.FS{nil, faultfs.New()} {
+					if err := appliesUnder(fsys, path, checksum.FormatFingerprint(fp)); err != nil {
+						t.Errorf("%s%s: %v", name, ext, err)
+					}
+				}
+				if ext != ".bin" {
+					continue
+				}
+				slab, mfp, size, err := psd.MapSlabFile(path)
+				if err != nil {
+					t.Fatalf("%s: MapSlabFile: %v", name, err)
+				}
+				slab.Close()
+				if mfp != fp || size != int64(len(data)) {
+					t.Errorf("%s: mmap Verify fingerprint %016x (%d B), want %016x (%d B)", name, mfp, size, fp, len(data))
+				}
+			}
+		}
+	}
+	if len(seen) != 42 {
+		t.Fatalf("%d distinct fingerprints, want 42", len(seen))
+	}
+
+	// Ingest publish and Ingester.Verify give the same value as psdtool,
+	// and the /publish value goes into a manifest as it is. Two kinds
+	// cover the path; every kind shares the writer checked above.
+	for _, opts := range []psd.Options{{Kind: psd.QuadtreeKind, Height: 4}, {Kind: psd.PrivTreeKind, Height: 2}} {
+		name := fmt.Sprintf("ingest-%v", opts.Kind)
+		in, err := ingest.Open(ingest.Config{
+			Name: "t", StateDir: filepath.Join(dir, name, "state"), PublishDir: filepath.Join(dir, name, "pub"),
+			Domain: dom, Build: opts, EpochEpsilon: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Ingest(pts); err != nil {
+			t.Fatal(err)
+		}
+		pub, err := in.Publish(ingest.TriggerManual)
+		if err != nil {
+			t.Fatalf("%s: publish: %v", name, err)
+		}
+		checks, err := in.Verify()
+		in.Close()
+		if err != nil || len(checks) != 1 || !checks[0].OK {
+			t.Fatalf("%s: ingest verify %+v, %v", name, checks, err)
+		}
+		for _, fsys := range []serve.FS{nil, faultfs.New()} {
+			if err := appliesUnder(fsys, pub.Path, pub.CRC64); err != nil {
+				t.Errorf("%s: manifest pinning the published crc64: %v", name, err)
+			}
+		}
+		opts.Seed, opts.Epsilon = pub.Seed, pub.Eps
+		tree, err := psd.Build(pts, dom, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp, err := writeRelease(tree, filepath.Join(dir, name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex := checksum.FormatFingerprint(fp); pub.CRC64 != hex || checks[0].ArtifactCRC != hex || checks[0].RebuiltCRC != hex {
+			t.Errorf("%s: publish %s, verify artifact %s / rebuilt %s; psdtool %s",
+				name, pub.CRC64, checks[0].ArtifactCRC, checks[0].RebuiltCRC, hex)
+		}
+	}
+}
 
 // TestParseRect pins what -query accepts: inverted corners are swapped and
 // whitespace is tolerated, while malformed or non-finite input is an error
@@ -72,14 +257,14 @@ func TestConvertRoundTrip(t *testing.T) {
 	binPath := filepath.Join(dir, "r.bin")
 	jsonPath := filepath.Join(dir, "r.json")
 
-	slab1, n, err := convert(src, binPath)
+	slab1, n, _, err := convert(src, binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatalf("convert wrote %d bytes", n)
 	}
-	slab2, _, err := convert(binPath, jsonPath)
+	slab2, _, _, err := convert(binPath, jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +289,14 @@ func TestConvertRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, _, err := convert(filepath.Join(dir, "missing.json"), binPath); err == nil {
+	if _, _, _, err := convert(filepath.Join(dir, "missing.json"), binPath); err == nil {
 		t.Error("convert of a missing file should error")
 	}
 	junk := filepath.Join(dir, "junk.json")
 	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := convert(junk, binPath); err == nil {
+	if _, _, _, err := convert(junk, binPath); err == nil {
 		t.Error("convert of a junk artifact should error")
 	}
 }
@@ -126,14 +311,14 @@ func TestConvertV3RoundTrip(t *testing.T) {
 	v3Path := filepath.Join(dir, "r3.bin")
 	jsonPath := filepath.Join(dir, "r.json")
 
-	slabV3, n, err := convert(src, v3Path)
+	slabV3, n, _, err := convert(src, v3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n%64 != 16 { // sections are 64-aligned; the 16-byte footer ends the file
 		t.Errorf("v3 artifact is %d bytes; want 64-aligned body + 16-byte footer", n)
 	}
-	back, _, err := convert(v3Path, jsonPath)
+	back, _, _, err := convert(v3Path, jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +362,7 @@ func TestConvertV2Goldens(t *testing.T) {
 			continue
 		}
 		out := filepath.Join(dir, filepath.Base(src))
-		slab, _, err := convert(src, out)
+		slab, _, _, err := convert(src, out)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -211,7 +396,7 @@ func TestConvertPrivTreeGolden(t *testing.T) {
 	srcBin := filepath.Join("..", "..", "testdata", "release_privtree.v3.bin")
 	dir := t.TempDir()
 
-	slab, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"))
+	slab, _, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +414,7 @@ func TestConvertPrivTreeGolden(t *testing.T) {
 	if string(got) != string(want) {
 		t.Error("converted binary differs from the committed privtree fixture")
 	}
-	back, _, err := convert(srcV2, filepath.Join(dir, "p.json"))
+	back, _, _, err := convert(srcV2, filepath.Join(dir, "p.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +474,7 @@ func TestBuildPrivTreeFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "roads.bin")
-	if _, err := writeRelease(tree, out); err != nil {
+	if _, _, err := writeRelease(tree, out); err != nil {
 		t.Fatal(err)
 	}
 	g, err := os.Open(out)
@@ -319,7 +504,7 @@ func TestWriteRelease(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"r.json", "r.bin"} {
 		path := filepath.Join(dir, name)
-		n, err := writeRelease(tree, path)
+		n, _, err := writeRelease(tree, path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,13 @@ package psd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"psd/internal/checksum"
 )
 
 // Golden release fixtures: one serialized release per Kind at a fixed seed,
@@ -235,6 +238,15 @@ func TestGoldenV3Releases(t *testing.T) {
 			if err := mapped.Verify(); err != nil {
 				t.Fatalf("Verify on the golden fixture: %v", err)
 			}
+			// MapSlabFile runs the same pass and fingerprints every byte.
+			verified, fp, size, err := MapSlabFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verified.Close()
+			if want := checksum.Checksum(golden, checksum.Fingerprint); fp != want || size != int64(len(golden)) {
+				t.Errorf("MapSlabFile: fingerprint %016x (%d B), want %016x (%d B)", fp, size, want, len(golden))
+			}
 			for _, q := range goldenQueries() {
 				want := tree.Count(q)
 				if got := decoded.Count(q); got != want {
@@ -333,5 +345,32 @@ func TestGoldenQueryAnswers(t *testing.T) {
 		if got := tree.Count(r); got != q.Count {
 			t.Errorf("query %d %v: count %v, fixture %v", i, r, got, q.Count)
 		}
+	}
+}
+
+// TestMapSlabFileErrors pins MapSlabFile's three outcomes besides success:
+// an artifact it cannot map (JSON) gives a nil slab and no error, so the
+// caller decodes it instead; a missing file is an *os.PathError; a mapped
+// v3 artifact with a corrupt body is a verification error.
+func TestMapSlabFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	if s, _, _, err := MapSlabFile(filepath.Join("testdata", "release_quadtree.json")); s != nil || err != nil {
+		t.Errorf("JSON artifact: slab %v, err %v; want neither", s, err)
+	}
+	var pe *os.PathError
+	if _, _, _, err := MapSlabFile(filepath.Join(dir, "missing.bin")); !errors.As(err, &pe) {
+		t.Errorf("missing file: err = %v, want an *os.PathError", err)
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "release_quadtree.v3.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-32] ^= 1 // a byte under the footer checksum
+	corrupt := filepath.Join(dir, "corrupt.bin")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, _, err := MapSlabFile(corrupt); s != nil || err == nil || errors.As(err, &pe) {
+		t.Errorf("corrupt v3 body: slab %v, err %v; want a verification error", s, err)
 	}
 }

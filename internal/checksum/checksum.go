@@ -1,7 +1,7 @@
 // Package checksum is the module's one CRC-64: a drop-in for hash/crc64
-// that every footer, fingerprint, WAL frame, journal and ledger line goes
-// through. Its results are hash/crc64's, bit for bit; only the speed on
-// large buffers differs.
+// that every footer, WAL frame, journal and ledger line goes through, and
+// the one definition of a release artifact's fingerprint. Its results are
+// hash/crc64's, bit for bit; only the speed on large buffers differs.
 //
 // On amd64 with PCLMULQDQ, a carry-less-multiply kernel (the folding of
 // Gopal et al., "Fast CRC Computation for Generic Polynomials Using
@@ -14,8 +14,10 @@ package checksum
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/crc64"
+	"strconv"
 )
 
 // Table is a CRC-64 polynomial's lookup table together with the kernel's
@@ -28,14 +30,24 @@ type Table struct {
 	fold [4]uint64
 }
 
-// The two polynomials the module uses: ECMA-182 for self-checksums (v3
-// footers, WAL frames, journal, ledger and manifest lines) and ISO 3309
-// for artifact fingerprints, which must differ from the polynomial the
-// fingerprinted artifact embeds.
-var (
-	ECMA = MakeTable(crc64.ECMA)
-	ISO  = MakeTable(crc64.ISO)
-)
+// ECMA (ECMA-182) is the polynomial of every self-checksum: v3 footers,
+// WAL frames, journal, ledger and manifest lines.
+var ECMA = MakeTable(crc64.ECMA)
+
+// Fingerprint is the table of a release artifact's identity: CRC-64/ISO
+// over every byte of the file, written as 16 hex digits
+// (FormatFingerprint). The ingest journal and audit, the serving
+// registry's load paths, rollout manifests and psdtool all take it with
+// this table, so the same bytes get the same fingerprint whichever path
+// reads them.
+//
+// The polynomial deliberately differs from the CRC-64/ECMA a v3 artifact
+// embeds in its own footer: a CRC taken over a message that ends with that
+// message's own CRC (same polynomial) collapses to a fixed residue
+// constant, the same for EVERY valid artifact, so it cannot tell two
+// releases apart. Under a distinct polynomial the fingerprint is a real
+// function of the bytes.
+var Fingerprint = MakeTable(crc64.ISO)
 
 // MakeTable returns the Table for poly, given in hash/crc64's reversed
 // notation (crc64.ECMA, crc64.ISO).
@@ -108,3 +120,15 @@ func (d *digest) Write(p []byte) (int, error) {
 }
 
 func (d *digest) Sum(in []byte) []byte { return binary.BigEndian.AppendUint64(in, d.crc) }
+
+// FormatFingerprint writes a fingerprint as 16 lowercase hex digits.
+func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+
+// ParseFingerprint reads exactly 16 hex digits, in either case.
+func ParseFingerprint(s string) (uint64, error) {
+	fp, err := strconv.ParseUint(s, 16, 64)
+	if err != nil || len(s) != 16 {
+		return 0, fmt.Errorf("fingerprint %q is not 16 hex digits", s)
+	}
+	return fp, nil
+}

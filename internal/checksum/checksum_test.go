@@ -13,7 +13,7 @@ var polys = []struct {
 	tab  *Table
 }{
 	{"ECMA", crc64.ECMA, ECMA},
-	{"ISO", crc64.ISO, ISO},
+	{"ISO", crc64.ISO, Fingerprint},
 }
 
 // bothPaths runs fn once on the path this machine selects and once with

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"psd"
+	"psd/internal/checksum"
 	"psd/internal/serve"
 )
 
@@ -466,7 +467,7 @@ func rolloutFixture(t *testing.T, dir, version string, artifacts map[string][]by
 			t.Fatal(err)
 		}
 		m.Releases = append(m.Releases, serve.ManifestEntry{
-			Name: name, Path: path, CRC64: serve.ChecksumBytes(data)})
+			Name: name, Path: path, Fingerprint: checksum.FormatFingerprint(checksum.Checksum(data, checksum.Fingerprint))})
 	}
 	return m
 }
@@ -584,6 +585,39 @@ func TestFleetRolloutAndRollback(t *testing.T) {
 		want4 = append(want4, treeV4.Count(q))
 	}
 	sweep(t, front.URL, "alpha", want4)
+}
+
+// TestFleetRolloutRefusesLegacyPin: a manifest that pins the old
+// whole-file "crc64" instead of the artifact fingerprint is a 400 at the
+// proxy, naming the new field, before any replica is touched.
+func TestFleetRolloutRefusesLegacyPin(t *testing.T) {
+	dir := t.TempDir()
+	art := fleetArtifact(t, fleetTree(t, 112))
+	reps, p, front := newFleet(t, 2, nil)
+	m1 := rolloutFixture(t, dir, "v1", map[string][]byte{"alpha": art})
+	postRollout(t, front.URL, RolloutRequest{Manifest: m1}, http.StatusOK)
+
+	legacy := rolloutFixture(t, dir, "v2", map[string][]byte{"alpha": art})
+	legacy.Releases[0].LegacyCRC64, legacy.Releases[0].Fingerprint = legacy.Releases[0].Fingerprint, ""
+	body, _ := json.Marshal(RolloutRequest{Manifest: legacy})
+	resp, err := http.Post(front.URL+"/v1/rollout", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, `"fingerprint"`) {
+		t.Fatalf("legacy rollout: status %d, error %q; want 400 naming \"fingerprint\"", resp.StatusCode, msg.Error)
+	}
+	if got := p.Stats().Rollouts; got != 1 {
+		t.Fatalf("rollouts attempted = %d, want 1 (the legacy manifest never started)", got)
+	}
+	for _, rep := range reps {
+		if v := manifestVersionOf(t, rep); v != "v1" {
+			t.Fatalf("replica %s on %q after a refused legacy rollout, want v1", rep.srv.URL, v)
+		}
+	}
 }
 
 // TestFleetMidRolloutReplicaDeath: a replica dying between rollout steps

@@ -565,39 +565,46 @@ func slabFromMapping(m *slabMapping) (*Slab, error) {
 
 // Verify runs the deferred full-body validation on an mmap-opened slab:
 // footer checksum over the whole body, zero padding, and the per-node
-// checks the streaming decoder performs inline. It reads every page of the
+// checks the streaming decoder performs inline — and, in the same pass,
+// the artifact's fingerprint (the checksum.Fingerprint CRC of every byte
+// of the file; meaningful when err is nil). It reads every page of the
 // mapping once, sequentially (which is also an effective prefault before
 // serving), and allocates nothing. On a slab that was decoded rather than
 // mapped the contract already held at construction, so Verify is a no-op.
-func (s *Slab) Verify() error {
+func (s *Slab) Verify() (fingerprint uint64, err error) {
 	s.ensureOpen()
 	if s.mapped == nil {
-		return nil
+		return 0, nil
 	}
 	data := s.mapped.data
 	nodes := s.Len()
 	lay := v3LayoutFor(nodes)
-	// Each chunk of records is checksummed and then node-checked while it
-	// is still in cache. The first bad node is only remembered: it is
-	// reported after the footer and padding have passed, so precedence is
-	// checksum, then footer magic, then padding, then the first bad node.
+	// Each chunk of records is checksummed, fingerprinted and then
+	// node-checked while it is still in cache. The first bad node is only
+	// remembered: it is reported after the footer and padding have passed,
+	// so precedence is checksum, then footer magic, then padding, then the
+	// first bad node.
 	crc := checksum.Update(0, checksum.ECMA, data[:lay.recordsOff])
+	fp := checksum.Update(0, checksum.Fingerprint, data[:lay.recordsOff])
 	records := data[lay.recordsOff:lay.recordsEnd]
 	var nodeErr error
 	for lo := 0; lo < nodes; lo += verifyChunkNodes {
 		hi := min(lo+verifyChunkNodes, nodes)
-		crc = checksum.Update(crc, checksum.ECMA, records[lo*v3RecordSize:hi*v3RecordSize])
+		chunk := records[lo*v3RecordSize : hi*v3RecordSize]
+		crc = checksum.Update(crc, checksum.ECMA, chunk)
+		fp = checksum.Update(fp, checksum.Fingerprint, chunk)
 		if nodeErr == nil {
 			nodeErr = checkV3Nodes(s.nodes, s.usable, lo, hi)
 		}
 	}
 	crc = checksum.Update(crc, checksum.ECMA, data[lay.recordsEnd:lay.footerOff])
+	fp = checksum.Update(fp, checksum.Fingerprint, data[lay.recordsEnd:])
 	ft := data[lay.footerOff:]
 	if got := binary.LittleEndian.Uint64(ft[0:8]); got != crc {
-		return fmt.Errorf("core: binary release checksum mismatch: footer %#x, body %#x", got, crc)
+		return 0, fmt.Errorf("core: binary release checksum mismatch: footer %#x, body %#x", got, crc)
 	}
 	if [8]byte(ft[8:16]) != v3FooterMagic {
-		return fmt.Errorf("core: bad footer magic %q in binary release", ft[8:16])
+		return 0, fmt.Errorf("core: bad footer magic %q in binary release", ft[8:16])
 	}
 	for _, span := range [][2]int64{
 		{lay.recordsEnd, lay.usableOff},
@@ -606,14 +613,23 @@ func (s *Slab) Verify() error {
 	} {
 		for _, b := range data[span[0]:span[1]] {
 			if b != 0 {
-				return fmt.Errorf("core: binary release has non-zero section padding")
+				return 0, fmt.Errorf("core: binary release has non-zero section padding")
 			}
 		}
 	}
-	return nodeErr
+	return fp, nodeErr
+}
+
+// MappedSize is the byte size of an mmap-opened slab's artifact (0 for a
+// decoded slab).
+func (s *Slab) MappedSize() int64 {
+	if s.mapped == nil {
+		return 0
+	}
+	return int64(len(s.mapped.data))
 }
 
 // verifyChunkNodes is Verify's step: 1600 records are 64000 bytes, small
-// enough to stay in cache between the checksum and the node check, and a
-// whole number of the checksum kernel's 64-byte blocks.
+// enough to stay in cache across the checksum, the fingerprint and the
+// node check, and a whole number of the checksum kernel's 64-byte blocks.
 const verifyChunkNodes = 1600

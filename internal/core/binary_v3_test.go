@@ -279,7 +279,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 				t.Fatalf("%v: OpenSlabMmap: %v", cfg.Kind, err)
 			}
 			defer mm.Close()
-			if err := mm.Verify(); err != nil {
+			if _, err := mm.Verify(); err != nil {
 				t.Fatalf("%v: Verify on a clean mapping: %v", cfg.Kind, err)
 			}
 			slabs["v3-mmap"] = mm
@@ -533,7 +533,7 @@ func TestReadBinaryV3RejectsMalformed(t *testing.T) {
 			t.Errorf("%s: mmap open is shape-only and should defer this to Verify: %v", name, err)
 			continue
 		}
-		if err := s.Verify(); err == nil {
+		if _, err := s.Verify(); err == nil {
 			t.Errorf("%s: Verify accepted a corrupt mapping", name)
 		} else if err.Error() != want[name] {
 			t.Errorf("%s: Verify says %q, want %q", name, err, want[name])
@@ -671,7 +671,8 @@ func verifyMapped(t *testing.T, raw []byte) error {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	return s.Verify()
+	_, err = s.Verify()
+	return err
 }
 
 // TestVerifyPrecedence pins the order of Verify's findings across chunks:
@@ -712,7 +713,7 @@ func TestVerifyAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	if allocs := testing.AllocsPerRun(5, func() {
-		if err := s.Verify(); err != nil {
+		if _, err := s.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	iofs "io/fs"
 	"path/filepath"
 	"testing"
 
@@ -189,5 +190,86 @@ func TestWALBrokenWhenRollbackFails(t *testing.T) {
 	}
 	if err := w2.Append(testPoints(1, 4)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
+	}
+}
+
+// TestVerifyMissingArtifacts pins the audit's rule for artifacts it cannot
+// open, through the FS seam: artifacts prune removed (the oldest ones,
+// never the latest) are pruned and OK whatever Keep the audit runs with; a
+// missing latest artifact, or one missing above a surviving one, is not
+// OK; any other open failure is an error, never a pass.
+func TestVerifyMissingArtifacts(t *testing.T) {
+	ffs := faultfs.New()
+	cfg := testConfig(t, t.TempDir())
+	cfg.FS = ffs
+	cfg.Keep = 3
+	in, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustIngest(t, in, testPoints(20, float64(i)))
+		if _, err := in.Publish(TriggerManual); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := func(v int) string { return in.artifactPath(v) }
+	missing := func(v int) {
+		ffs.Set(path(v), faultfs.Fault{OpenErr: &iofs.PathError{Op: "open", Path: path(v), Err: iofs.ErrNotExist}})
+	}
+	verify := func(what string) []VersionCheck {
+		t.Helper()
+		checks, err := in.Verify()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return checks
+	}
+	intact := func(what string) {
+		t.Helper()
+		for _, c := range verify(what) {
+			pruned := c.Version <= 2 // latest 5, Keep 3: prune removed v1, v2
+			if !c.OK || c.Pruned != pruned || (c.ArtifactCRC == "") != pruned {
+				t.Fatalf("%s: %+v (want OK, pruned=%v)", what, c, pruned)
+			}
+		}
+	}
+	intact("Keep 3")
+
+	// The audit runs without the daemon's -keep (the documented
+	// `psdingest verify` does): what prune removed still passes.
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Keep = 0
+	if in, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	intact("reopened with Keep 0")
+
+	// The latest version's artifact goes missing: prune never removes it,
+	// so it fails the audit instead of passing as pruned.
+	missing(5)
+	if c := verify("missing latest")[4]; c.Version != 5 || c.OK || c.Pruned {
+		t.Fatalf("missing latest artifact: %+v, want !OK and not pruned", c)
+	}
+	ffs.Clear(path(5))
+
+	// A hole above a surviving artifact is not a prune either.
+	missing(4)
+	checks := verify("missing v4")
+	if c := checks[3]; c.Version != 4 || c.OK || c.Pruned {
+		t.Fatalf("missing v4 above the surviving v3: %+v, want !OK and not pruned", c)
+	}
+	if c := checks[2]; !c.OK || c.Pruned {
+		t.Fatalf("v3 below the missing v4: %+v", c)
+	}
+	ffs.Clear(path(4))
+
+	// An artifact that exists but cannot be opened is an error.
+	ffs.Set(path(3), faultfs.Fault{OpenErr: errInjected})
+	if _, err := in.Verify(); !errors.Is(err, errInjected) {
+		t.Fatalf("unreadable artifact: Verify err = %v, want the open error", err)
 	}
 }

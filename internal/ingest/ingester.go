@@ -13,6 +13,7 @@ import (
 
 	"psd"
 	"psd/internal/atomicfile"
+	"psd/internal/checksum"
 	"psd/internal/dp"
 )
 
@@ -399,7 +400,7 @@ func (in *Ingester) completeVersion(rec VersionRecord, pts []psd.Point) (*Publis
 		return nil, err
 	}
 	path := in.artifactPath(rec.Version)
-	sum := newFingerprint()
+	sum := checksum.New(checksum.Fingerprint)
 	n, err := atomicfile.Write(path, func(w io.Writer) error {
 		return tree.WriteBinaryV3Release(io.MultiWriter(w, sum))
 	})
@@ -409,7 +410,7 @@ func (in *Ingester) completeVersion(rec VersionRecord, pts []psd.Point) (*Publis
 	if err := in.fp("artifact"); err != nil {
 		return nil, err
 	}
-	crcHex := fmt.Sprintf("%016x", sum.Sum64())
+	crcHex := checksum.FormatFingerprint(sum.Sum64())
 	if err := in.journal.Published(rec.Version, crcHex, n); err != nil {
 		return nil, err
 	}
@@ -428,19 +429,26 @@ func (in *Ingester) completeVersion(rec VersionRecord, pts []psd.Point) (*Publis
 }
 
 // prune removes artifacts of published versions older than the retention
-// window behind latest. The journal keeps their records (history is cheap;
-// artifacts are not), and a missing artifact is fine — pruning is
-// best-effort.
+// window behind latest, oldest first. The journal keeps their records
+// (history is cheap; artifacts are not), and a missing artifact is fine —
+// pruning is best-effort. It stops at the first failed removal, so the
+// pruned artifacts stay the oldest ones, which is how Verify tells them
+// from lost ones.
 func (in *Ingester) prune(latest int) {
 	if in.cfg.Keep <= 0 {
 		return
 	}
 	for _, pub := range in.journal.PublishedVersions() {
-		if pub.Version <= latest-in.cfg.Keep {
-			path := in.artifactPath(pub.Version)
-			if err := in.fs.Remove(path); err == nil {
-				in.log.Printf("ingest: pruned %s", path)
-			}
+		if pub.Version > latest-in.cfg.Keep {
+			return
+		}
+		path := in.artifactPath(pub.Version)
+		switch err := in.fs.Remove(path); {
+		case err == nil:
+			in.log.Printf("ingest: pruned %s", path)
+		case !errors.Is(err, os.ErrNotExist):
+			in.log.Printf("ingest: pruning %s: %v", path, err)
+			return
 		}
 	}
 }

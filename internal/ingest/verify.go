@@ -1,9 +1,10 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
-	"hash"
 	"io"
+	iofs "io/fs"
 
 	"psd"
 	"psd/internal/checksum"
@@ -17,16 +18,8 @@ import (
 // a fresh rebuild from the replayed WAL, and the artifact actually sitting
 // in the publish directory. All three agreeing is what "SIGKILL at any
 // instant recovers to a byte-identical release" means, checked end to end.
-
-// newFingerprint hashes a published artifact. It deliberately uses a
-// DIFFERENT polynomial (ISO) than the CRC-64/ECMA checksum the v3 artifact
-// embeds in its own footer: a CRC taken over a message that ends with that
-// message's own CRC (same polynomial) collapses to a fixed residue constant,
-// the same for EVERY valid artifact — useless for telling two different
-// releases apart. With a distinct polynomial the fingerprint is a real
-// function of the bytes, so the verify audit's three-way bit-compare
-// (journal vs rebuild vs on-disk) actually discriminates.
-func newFingerprint() hash.Hash64 { return checksum.New(checksum.ISO) }
+// The checksum is the artifact fingerprint of internal/checksum, the same
+// identity manifests pin.
 
 // VersionCheck is one published version's verification result.
 type VersionCheck struct {
@@ -37,23 +30,28 @@ type VersionCheck struct {
 	// RebuiltCRC is a fresh deterministic rebuild from the WAL's points.
 	RebuiltCRC string `json:"rebuilt_crc"`
 	// ArtifactCRC is the on-disk artifact's checksum; empty when the
-	// artifact was pruned by the retention window (expected, not a failure).
+	// artifact is missing.
 	ArtifactCRC string `json:"artifact_crc,omitempty"`
-	Pruned      bool   `json:"pruned,omitempty"`
-	// OK: rebuild matches the journal, and the artifact (when present)
-	// matches too.
+	// Pruned: the artifact is gone in the shape prune leaves (expected,
+	// not a failure): it is not the latest version, and no older version's
+	// artifact survives.
+	Pruned bool `json:"pruned,omitempty"`
+	// OK: rebuild matches the journal, and the artifact matches too — or
+	// was pruned. Any other missing artifact is not OK.
 	OK bool `json:"ok"`
 }
 
 // Verify rebuilds every published version from the WAL and bit-compares it
 // against the journal record and the published artifact. The returned error
-// covers infrastructure failures only (a build that won't run); mismatches
-// are reported per version in the checks.
+// covers infrastructure failures only (a build that won't run, an artifact
+// that exists but cannot be opened or read); mismatches are reported per
+// version in the checks.
 func (in *Ingester) Verify() ([]VersionCheck, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	pubs := in.journal.PublishedVersions()
 	checks := make([]VersionCheck, 0, len(pubs))
+	survivor := false // an artifact of an older version was found
 	for _, rec := range pubs {
 		c := VersionCheck{Version: rec.Version, Points: rec.Points, JournalCRC: rec.CRC64}
 		if rec.Points > uint64(len(in.points)) {
@@ -67,23 +65,32 @@ func (in *Ingester) Verify() ([]VersionCheck, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: rebuilding v%d: %w", rec.Version, err)
 		}
-		sum := newFingerprint()
+		sum := checksum.New(checksum.Fingerprint)
 		if err := tree.WriteBinaryV3Release(sum); err != nil {
 			return nil, fmt.Errorf("ingest: serializing rebuilt v%d: %w", rec.Version, err)
 		}
-		c.RebuiltCRC = fmt.Sprintf("%016x", sum.Sum64())
+		c.RebuiltCRC = checksum.FormatFingerprint(sum.Sum64())
 		c.OK = c.RebuiltCRC == c.JournalCRC
 		path := in.artifactPath(rec.Version)
-		if f, err := in.fs.Open(path); err != nil {
-			c.Pruned = true
-		} else {
-			fsum := newFingerprint()
+		f, err := in.fs.Open(path)
+		switch {
+		case errors.Is(err, iofs.ErrNotExist):
+			// Whatever Keep each run used, prune removes the oldest first
+			// and never the latest; anything else missing was lost. (A
+			// lost oldest survivor looks like a prune.)
+			c.Pruned = !survivor && rec.Version < in.latestVersion
+			c.OK = c.OK && c.Pruned
+		case err != nil:
+			return nil, fmt.Errorf("ingest: opening %s: %w", path, err)
+		default:
+			survivor = true
+			fsum := checksum.New(checksum.Fingerprint)
 			_, cpErr := io.Copy(fsum, f)
 			f.Close()
 			if cpErr != nil {
 				return nil, fmt.Errorf("ingest: reading %s: %w", path, cpErr)
 			}
-			c.ArtifactCRC = fmt.Sprintf("%016x", fsum.Sum64())
+			c.ArtifactCRC = checksum.FormatFingerprint(fsum.Sum64())
 			c.OK = c.OK && c.ArtifactCRC == c.JournalCRC
 		}
 		checks = append(checks, c)

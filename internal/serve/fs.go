@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 
 	"psd"
+	"psd/internal/checksum"
 )
 
 // FS is the registry's filesystem seam: every byte the watch-dir scanner and
@@ -21,50 +21,42 @@ type FS interface {
 	Glob(pattern string) ([]string, error)
 }
 
-// slabOpener is an optional FS capability: open a release artifact by path
-// through the cheapest route the platform allows — zero-copy mmap for v3
-// artifacts, a streaming decode otherwise. The real filesystem implements
-// it; faultfs does not, so the fault-injection suite keeps exercising the
-// byte-level reader path the quarantine classification was proven on.
-type slabOpener interface {
-	OpenSlab(path string) (*psd.Slab, error)
+// slabMapper is an optional FS capability: map and verify a v3 artifact
+// (psd.MapSlabFile; a nil slab leaves the file to the reader path). The
+// real filesystem implements it; faultfs does not, so the fault-injection
+// suite keeps exercising the byte-level reader path.
+type slabMapper interface {
+	MapSlab(path string) (*psd.Slab, uint64, int64, error)
 }
 
 // osFS is the real filesystem, the default seam.
 type osFS struct{}
 
-func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
-func (osFS) Stat(name string) (fs.FileInfo, error)   { return os.Stat(name) }
-func (osFS) Glob(pattern string) ([]string, error)   { return filepath.Glob(pattern) }
-func (osFS) OpenSlab(path string) (*psd.Slab, error) { return psd.OpenSlabFile(path) }
+func (osFS) Open(name string) (io.ReadCloser, error)               { return os.Open(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)                 { return os.Stat(name) }
+func (osFS) Glob(pattern string) ([]string, error)                 { return filepath.Glob(pattern) }
+func (osFS) MapSlab(path string) (*psd.Slab, uint64, int64, error) { return psd.MapSlabFile(path) }
 
-// transientOpenErr classifies a direct-open failure for the quarantine
-// policy, mirroring readTracker's distinction: a *fs.PathError means the
-// filesystem operation itself failed (open, stat, mmap, a read syscall
-// during fallback decode) and is worth retrying; anything else means the
-// bytes were reachable and are simply not a valid release — permanent
-// until the file changes.
-func transientOpenErr(err error) bool {
-	var pe *fs.PathError
-	return errors.As(err, &pe)
-}
-
-// readTracker wraps an artifact reader and remembers whether any read failed
-// with a genuine I/O error (as opposed to a clean EOF). The distinction is
-// what separates transient failures from permanent corruption during
-// quarantine classification: a decode error over a cleanly-read byte stream
-// means the bytes themselves are bad (retrying cannot help until the file
-// changes), while a decode error after EIO means the read may simply be
-// retried.
-type readTracker struct {
+// artifactReader wraps an artifact stream on the reader path. It counts
+// and fingerprints every byte read, and remembers whether any read failed
+// with a genuine I/O error (as opposed to a clean EOF). That distinction
+// separates transient failures from permanent corruption during quarantine
+// classification: a decode error over a cleanly-read byte stream means the
+// bytes themselves are bad (retrying cannot help until the file changes),
+// while a decode error after EIO means the read may simply be retried.
+type artifactReader struct {
 	r     io.Reader
+	n     int64
+	fp    uint64
 	ioErr error
 }
 
-func (t *readTracker) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
+func (a *artifactReader) Read(p []byte) (int, error) {
+	n, err := a.r.Read(p)
+	a.n += int64(n)
+	a.fp = checksum.Update(a.fp, checksum.Fingerprint, p[:n])
 	if err != nil && err != io.EOF {
-		t.ioErr = err
+		a.ioErr = err
 	}
 	return n, err
 }

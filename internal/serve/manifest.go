@@ -1,28 +1,24 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
-	"psd"
 	"psd/internal/checksum"
 )
 
 // Manifest-driven rollouts: a manifest names a versioned set of release
-// artifacts (path + CRC-64/ECMA checksum each). A replica applies a
-// manifest by pulling and fully validating every artifact — checksum
-// over the raw file bytes first, then the decode-time validation every
-// load path already performs — and only then swapping the whole set into
-// the registry atomically. A manifest that fails at any point changes
-// nothing: the replica keeps serving exactly what it served before,
-// which is what makes fleet-level rollback safe (the coordinator just
-// re-applies the previous manifest). The CRC algorithm matches binary
-// format v3's footer checksum (CRC-64/ECMA), so v3 artifacts carry the
-// same integrity story end to end.
+// artifacts (path + fingerprint each). A replica applies a manifest by
+// loading every artifact exactly as a watch-dir file loads — mapped and
+// verified, or decoded, which computes the fingerprint over every byte on
+// the way — comparing each fingerprint with its pin, and only then
+// swapping the whole set into the registry atomically. A manifest that
+// fails at any point changes nothing: the replica keeps serving exactly
+// what it served before, which is what makes fleet-level rollback safe
+// (the coordinator just re-applies the previous manifest). The pin is the
+// artifact fingerprint of internal/checksum, the value psdingest's publish
+// cycle journals and psdtool prints.
 
 // Manifest is the rollout unit: a version tag plus the artifact set.
 type Manifest struct {
@@ -43,14 +39,14 @@ type ManifestEntry struct {
 	// Path is where the replica pulls the artifact from (a file path on
 	// storage every replica can read).
 	Path string `json:"path"`
-	// CRC64 is the hex CRC-64/ECMA checksum of the artifact's bytes.
-	CRC64 string `json:"crc64"`
-}
-
-// ChecksumBytes returns the hex CRC-64/ECMA of data, the value a
-// ManifestEntry.CRC64 must carry.
-func ChecksumBytes(data []byte) string {
-	return fmt.Sprintf("%016x", checksum.Checksum(data, checksum.ECMA))
+	// Fingerprint is the artifact's fingerprint (CRC-64/ISO over every
+	// byte) as 16 hex digits: the crc64 psdingest's /publish returns, or
+	// the value psdtool prints.
+	Fingerprint string `json:"fingerprint"`
+	// LegacyCRC64 is the old whole-file CRC-64/ECMA pin, which gave every
+	// valid v3 artifact the same value. It is read only so that Validate
+	// can refuse it by name.
+	LegacyCRC64 string `json:"crc64,omitempty"`
 }
 
 // Validate rejects manifests that could not be applied unambiguously.
@@ -74,9 +70,13 @@ func (m *Manifest) Validate() error {
 		if e.Path == "" {
 			return fmt.Errorf("serve: manifest %q: release %q has no path", m.Version, e.Name)
 		}
-		if _, err := hex.DecodeString(e.CRC64); err != nil || len(e.CRC64) != 16 {
-			return fmt.Errorf("serve: manifest %q: release %q has bad crc64 %q (want 16 hex digits)",
-				m.Version, e.Name, e.CRC64)
+		if e.LegacyCRC64 != "" {
+			return fmt.Errorf("serve: manifest %q: release %q pins \"crc64\", which is no longer accepted: "+
+				"pin the artifact fingerprint (CRC-64/ISO, the crc64 psdingest /publish returns) in \"fingerprint\"",
+				m.Version, e.Name)
+		}
+		if _, err := checksum.ParseFingerprint(e.Fingerprint); err != nil {
+			return fmt.Errorf("serve: manifest %q: release %q: %w", m.Version, e.Name, err)
 		}
 	}
 	return nil
@@ -99,26 +99,34 @@ func (g *Registry) CurrentManifest() (ManifestStatus, bool) {
 	return ManifestStatus{Manifest: *g.manifest, AppliedAt: g.manifestAt}, true
 }
 
-// ApplyManifest pulls, verifies, and warms every artifact the manifest
-// names, then installs the whole set in one atomic swap: releases named
-// by the manifest are replaced (fresh caches), releases owned by the
-// previous manifest but absent from this one are removed, and releases
-// installed outside any manifest (watch dir, API uploads) are left
-// alone. On any failure — unreadable path, checksum mismatch, artifact
-// that fails validation — the registry is untouched and the error says
-// which artifact broke.
+// ApplyManifest loads and verifies every artifact the manifest names,
+// then installs the whole set in one atomic swap: releases named by the
+// manifest are replaced (fresh caches), releases owned by the previous
+// manifest but absent from this one are removed, and releases installed
+// outside any manifest (watch dir, API uploads) are left alone. On any
+// failure — unreadable path, fingerprint mismatch, artifact that fails
+// validation — the registry is untouched, the artifacts opened so far are
+// closed, and the error says which artifact broke.
 func (g *Registry) ApplyManifest(m Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	// Pull + verify + warm everything before touching the registry. The
-	// decoded slab is the warmed state: a fully parsed, query-ready
-	// artifact (OpenSlab validates as it decodes).
+	// Load + verify everything before touching the registry. An artifact
+	// is opened exactly as loadFile opens it, so it arrives warmed: mapped
+	// and read through once, or fully decoded.
 	fresh := make([]*Release, 0, len(m.Releases))
 	for _, e := range m.Releases {
-		rel, err := g.pullManifestArtifact(e)
+		rel, _, err := g.openRelease(e.Name, e.Path)
+		if want, _ := checksum.ParseFingerprint(e.Fingerprint); err == nil && rel.Fingerprint != want {
+			rel.Slab.Close()
+			err = fmt.Errorf("fingerprint mismatch for %s: manifest pins %s, file is %s", e.Path,
+				checksum.FormatFingerprint(want), checksum.FormatFingerprint(rel.Fingerprint))
+		}
 		if err != nil {
-			return fmt.Errorf("serve: manifest %q: %w", m.Version, err)
+			for _, rel := range fresh {
+				rel.Slab.Close()
+			}
+			return fmt.Errorf("serve: manifest %q: release %q: %w", m.Version, e.Name, err)
 		}
 		fresh = append(fresh, rel)
 	}
@@ -129,15 +137,11 @@ func (g *Registry) ApplyManifest(m Manifest) error {
 	}
 	for name := range g.manifestOwned {
 		if !owned[name] {
-			delete(g.entries, name)
-			if base, v, versioned, err := parseKey(name); err == nil && versioned {
-				g.dropVersionLocked(base, v)
-			}
+			g.removeLocked(name)
 		}
 	}
 	for _, rel := range fresh {
-		g.entries[rel.Name] = rel
-		g.noteInstallLocked(rel.Name)
+		g.putLocked(rel)
 	}
 	mCopy := m
 	mCopy.Releases = append([]ManifestEntry(nil), m.Releases...)
@@ -149,38 +153,4 @@ func (g *Registry) ApplyManifest(m Manifest) error {
 	g.manifestOwned = owned
 	g.mu.Unlock()
 	return nil
-}
-
-// pullManifestArtifact reads one manifest entry through the FS seam,
-// checks its checksum, and opens it into a served release. The bytes are
-// read in full for the CRC regardless of format — one sequential pass,
-// which doubles as the warm-up read the rollout's "pull/warm/swap"
-// contract promises.
-func (g *Registry) pullManifestArtifact(e ManifestEntry) (*Release, error) {
-	f, err := g.fs().Open(e.Path)
-	if err != nil {
-		return nil, fmt.Errorf("release %q: %w", e.Name, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("release %q: reading %s: %w", e.Name, e.Path, err)
-	}
-	if got := ChecksumBytes(data); got != e.CRC64 {
-		return nil, fmt.Errorf("release %q: checksum mismatch for %s: manifest says %s, file is %s",
-			e.Name, e.Path, e.CRC64, got)
-	}
-	slab, err := psd.OpenSlab(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("release %q: %s: %w", e.Name, e.Path, err)
-	}
-	return &Release{
-		Name:       e.Name,
-		Slab:       slab,
-		Source:     e.Path,
-		Bytes:      int64(len(data)),
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
-	}, nil
 }

@@ -10,16 +10,23 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"psd"
+	"psd/internal/checksum"
 	"psd/internal/serve/faultfs"
 )
 
+// fingerprintOf is the artifact fingerprint of data, as a manifest pins it.
+func fingerprintOf(data []byte) string {
+	return checksum.FormatFingerprint(checksum.Checksum(data, checksum.Fingerprint))
+}
+
 // manifestFor builds a manifest over already-written artifact files,
-// checksumming each the way a publisher would.
+// fingerprinting each the way a publisher would.
 func manifestFor(t *testing.T, version string, artifacts map[string]string) Manifest {
 	t.Helper()
 	m := Manifest{Version: version}
@@ -28,7 +35,7 @@ func manifestFor(t *testing.T, version string, artifacts map[string]string) Mani
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Releases = append(m.Releases, ManifestEntry{Name: name, Path: path, CRC64: ChecksumBytes(data)})
+		m.Releases = append(m.Releases, ManifestEntry{Name: name, Path: path, Fingerprint: fingerprintOf(data)})
 	}
 	return m
 }
@@ -112,17 +119,17 @@ func TestManifestApplyIsAtomic(t *testing.T) {
 	body, _ := json.Marshal(m1)
 	postJSON(t, srv.URL+"/v1/manifest", body, http.StatusOK, nil)
 
-	// Checksum mismatch: manifest lies about the bytes.
+	// Fingerprint mismatch: manifest lies about the bytes.
 	bad := m1
 	bad.Version = "v2"
 	bad.Releases = append([]ManifestEntry(nil), m1.Releases...)
-	bad.Releases[0].CRC64 = ChecksumBytes([]byte("not the file"))
+	bad.Releases[0].Fingerprint = fingerprintOf([]byte("not the file"))
 	bad.Releases = append(bad.Releases, ManifestEntry{
-		Name: "newrel", Path: goodPath, CRC64: ChecksumBytes(releaseBytes(t, tree))})
+		Name: "newrel", Path: goodPath, Fingerprint: fingerprintOf(releaseBytes(t, tree))})
 	body, _ = json.Marshal(bad)
 	postJSON(t, srv.URL+"/v1/manifest", body, http.StatusBadRequest, nil)
 
-	// Corrupt artifact whose checksum is honest (decode fails).
+	// Corrupt artifact whose fingerprint is honest (decode fails).
 	corruptPath := filepath.Join(dir, "corrupt.bin")
 	writeFile(t, corruptPath, []byte("garbage artifact"))
 	m3 := manifestFor(t, "v3", map[string]string{"alpha": corruptPath})
@@ -162,27 +169,185 @@ func TestManifestApplyIsAtomic(t *testing.T) {
 }
 
 func TestManifestValidate(t *testing.T) {
-	good := ManifestEntry{Name: "a", Path: "/x/a.bin", CRC64: ChecksumBytes([]byte("x"))}
+	good := ManifestEntry{Name: "a", Path: "/x/a.bin", Fingerprint: fingerprintOf([]byte("x"))}
 	cases := []struct {
 		name string
 		m    Manifest
+		want string // substring of the error
 	}{
-		{"no version", Manifest{Releases: []ManifestEntry{good}}},
-		{"no releases", Manifest{Version: "v1"}},
-		{"duplicate name", Manifest{Version: "v1", Releases: []ManifestEntry{good, good}}},
-		{"no path", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", CRC64: good.CRC64}}}},
-		{"bad crc", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", CRC64: "zz"}}}},
-		{"bad name", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "../evil", Path: "/x", CRC64: good.CRC64}}}},
+		{"no version", Manifest{Releases: []ManifestEntry{good}}, "no version"},
+		{"no releases", Manifest{Version: "v1"}, "names no releases"},
+		{"duplicate name", Manifest{Version: "v1", Releases: []ManifestEntry{good, good}}, "twice"},
+		{"no path", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Fingerprint: good.Fingerprint}}}, "no path"},
+		{"bad fingerprint", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", Fingerprint: "zz"}}}, "16 hex digits"},
+		{"15 digits", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", Fingerprint: "0123456789abcde"}}}, "16 hex digits"},
+		{"17 digits", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", Fingerprint: "0123456789abcdef0"}}}, "16 hex digits"},
+		{"no fingerprint", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x"}}}, "16 hex digits"},
+		{"legacy crc64 only", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", LegacyCRC64: "0123456789abcdef"}}}, `"fingerprint"`},
+		{"bad name", Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "../evil", Path: "/x", Fingerprint: good.Fingerprint}}}, "invalid release name"},
 	}
 	for _, tc := range cases {
-		if err := tc.m.Validate(); err == nil {
+		err := tc.m.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.m)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	ok := Manifest{Version: "v1", Releases: []ManifestEntry{good}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid manifest rejected: %v", err)
+	for _, fp := range []string{good.Fingerprint, strings.ToUpper(good.Fingerprint)} {
+		ok := Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "a", Path: "/x", Fingerprint: fp}}}
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid manifest (fingerprint %s) rejected: %v", fp, err)
+		}
 	}
+}
+
+// v3Bytes is tree's release in format v3, the encoding the mmap path maps.
+func v3Bytes(t testing.TB, tree *psd.Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tree.WriteBinaryV3Release(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestManifestRefusesRewrittenRelease pins what a pin is for: a pinned
+// path overwritten with another *valid* v3 release is refused, and the
+// replica keeps its manifest version, its release and its answers. It runs
+// on both load paths — mmap + Verify under the real filesystem, the
+// reader under faultfs — and checks that an uppercase pin of the new
+// bytes then applies on each.
+func TestManifestRefusesRewrittenRelease(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fs   FS
+	}{{"mmap", nil}, {"reader", faultfs.New()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "r.bin")
+			tree1, tree2 := buildTree(t, 1), buildTree(t, 2)
+			v1, v2 := v3Bytes(t, tree1), v3Bytes(t, tree2)
+			if fingerprintOf(v1) == fingerprintOf(v2) {
+				t.Fatal("two distinct v3 releases share a fingerprint")
+			}
+			writeFile(t, path, v1)
+			reg := NewRegistry(64)
+			if tc.fs != nil {
+				reg.SetFS(tc.fs)
+			}
+			m1 := manifestFor(t, "m1", map[string]string{"r": path})
+			if err := reg.ApplyManifest(m1); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := reg.Get("r")
+
+			// Replaced the way publishers replace artifacts (write aside,
+			// rename over): rewriting a mapped file in place would change
+			// the live release's pages under it.
+			writeFile(t, path+".tmp", v2)
+			if err := os.Rename(path+".tmp", path); err != nil {
+				t.Fatal(err)
+			}
+			m2 := m1
+			m2.Version = "m2"
+			err := reg.ApplyManifest(m2)
+			if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+				t.Fatalf("rewritten artifact under the old pin: err = %v, want a fingerprint mismatch", err)
+			}
+			st, _ := reg.CurrentManifest()
+			after, _ := reg.Get("r")
+			if st.Manifest.Version != "m1" || after != before {
+				t.Fatalf("refused apply changed the replica: version %q, release replaced %v",
+					st.Manifest.Version, after != before)
+			}
+			q := psd.NewRect(5, 5, 80, 60)
+			if got, want := after.Slab.Count(q), tree1.Count(q); got != want {
+				t.Fatalf("after refusal: count %v, want %v", got, want)
+			}
+
+			m2.Releases = []ManifestEntry{{Name: "r", Path: path, Fingerprint: strings.ToUpper(fingerprintOf(v2))}}
+			if err := reg.ApplyManifest(m2); err != nil {
+				t.Fatalf("uppercase pin of the new bytes: %v", err)
+			}
+			rel, _ := reg.Get("r")
+			if got, want := rel.Slab.Count(q), tree2.Count(q); got != want {
+				t.Fatalf("after re-pin: count %v, want %v", got, want)
+			}
+			if rel.Bytes != int64(len(v2)) {
+				t.Fatalf("Bytes = %d, want %d", rel.Bytes, len(v2))
+			}
+		})
+	}
+}
+
+// TestManifestLegacyCRC64Refused pins that a manifest written for the old
+// whole-file CRC-64/ECMA pin gets a 400 naming the new field, and changes
+// nothing on the replica.
+func TestManifestLegacyCRC64Refused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.bin")
+	writeFile(t, path, v3Bytes(t, buildTree(t, 7)))
+	reg := NewRegistry(64)
+	srv := newTestServer(t, &API{Registry: reg})
+	body := fmt.Sprintf(`{"version":"v1","releases":[{"name":"a","path":%q,"crc64":"38564cc5b9bd1aa1"}]}`, path)
+	resp, err := http.Post(srv.URL+"/v1/manifest", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "fingerprint") {
+		t.Fatalf("legacy manifest: status %d, body %s; want 400 naming the fingerprint field", resp.StatusCode, msg)
+	}
+	if _, ok := reg.CurrentManifest(); ok || reg.Len() != 0 {
+		t.Fatal("a refused legacy manifest changed the registry")
+	}
+}
+
+// TestManifestInstallIsMapped pins the heap cost of a manifest install: a
+// v3 release of several MiB applied through a manifest is mmap'd, so the
+// heap grows by a small fraction of the artifact (the Release, its idle
+// cache and the slab's shape), not by a decoded copy of it.
+func TestManifestInstallIsMapped(t *testing.T) {
+	dom := psd.NewRect(0, 0, 100, 100)
+	tree, err := psd.Build(testPoints(3, 5000, 0), dom, psd.Options{
+		Kind: psd.QuadtreeKind, Height: 8, Epsilon: 1, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.bin")
+	data := v3Bytes(t, tree)
+	writeFile(t, path, data)
+	if s, _, _, err := psd.MapSlabFile(path); s == nil {
+		t.Skipf("no zero-copy open on this platform (%v)", err)
+	} else {
+		s.Close()
+	}
+	m := Manifest{Version: "v1", Releases: []ManifestEntry{{Name: "big", Path: path, Fingerprint: fingerprintOf(data)}}}
+	size := int64(len(data))
+	tree, data = nil, nil
+	reg := NewRegistry(1 << 16)
+	var inuse [2]uint64
+	var ms runtime.MemStats
+	for i, apply := range []bool{false, true} {
+		if apply {
+			if err := reg.ApplyManifest(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		inuse[i] = ms.HeapInuse
+	}
+	growth := int64(inuse[1]) - int64(inuse[0])
+	t.Logf("artifact %d B; HeapInuse %d -> %d (%+d B)", size, inuse[0], inuse[1], growth)
+	if growth > size/16 {
+		t.Errorf("manifest install grew the heap by %d B for a %d B artifact; want < 1/16 (mmap'd)", growth, size)
+	}
+	runtime.KeepAlive(reg)
 }
 
 // TestTransientBackoffJitterDecorrelates pins the full-jitter satellite:

@@ -14,8 +14,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"path/filepath"
 	"sort"
@@ -25,19 +27,6 @@ import (
 
 	"psd"
 )
-
-// countingReader counts bytes read so Register can report the artifact
-// size without buffering the body.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
 
 // Release is one opened release being served: an immutable query-only slab
 // plus its answer cache and serving statistics. Fields set at registration
@@ -53,6 +42,9 @@ type Release struct {
 	Slab *psd.Slab
 	// Source says where the artifact came from: a file path or "api".
 	Source string
+	// Fingerprint is the artifact's identity: the checksum.Fingerprint CRC
+	// over every byte it was read or mapped from.
+	Fingerprint uint64
 	// Bytes is the serialized artifact size.
 	Bytes int64
 	// LoadedAt is the registration time.
@@ -313,14 +305,18 @@ func (g *Registry) Len() int {
 // base name's latest version and releases a pin that pointed at it.
 func (g *Registry) Remove(name string) bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.removeLocked(name)
+}
+
+// removeLocked deletes the entry under name, if any, keeping the version
+// index in step; g.mu must be held for writing.
+func (g *Registry) removeLocked(name string) bool {
 	_, ok := g.entries[name]
 	delete(g.entries, name)
-	if ok {
-		if base, v, versioned, err := parseKey(name); err == nil && versioned {
-			g.dropVersionLocked(base, v)
-		}
+	if base, v, versioned, err := parseKey(name); ok && err == nil && versioned {
+		g.dropVersionLocked(base, v)
 	}
-	g.mu.Unlock()
 	return ok
 }
 
@@ -333,33 +329,58 @@ func (g *Registry) Register(name, source string, r io.Reader) (*Release, error) 
 	if err := validateKey(name); err != nil {
 		return nil, err
 	}
-	cr := &countingReader{r: r}
-	slab, err := psd.OpenSlab(cr)
+	rel, _, err := g.readRelease(name, source, r)
 	if err != nil {
 		return nil, err
 	}
-	return g.install(name, source, slab, cr.n), nil
+	return g.install(rel), nil
 }
 
-// install wraps a validated slab in a fresh Release and swaps it in under
-// name. The atomic swap drops any previous release of this name; if that
-// one was mmap-backed, its mapping is released by the GC cleanup once
-// in-flight queries against it finish (Close here would race them).
-func (g *Registry) install(name, source string, slab *psd.Slab, size int64) *Release {
-	rel := &Release{
-		Name:       name,
-		Slab:       slab,
-		Source:     source,
-		Bytes:      size,
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
+// readRelease decodes the artifact r streams (any format, sniffed) into a
+// new Release, draining r to EOF so that the fingerprint and size cover
+// every byte of it, not just the ones the decoder needed. ioErr is the
+// real read error met on the way, if any (see artifactReader).
+func (g *Registry) readRelease(name, source string, r io.Reader) (rel *Release, ioErr, err error) {
+	ar := &artifactReader{r: r}
+	slab, err := psd.OpenSlab(ar)
+	if err == nil {
+		_, err = io.Copy(io.Discard, ar)
 	}
+	if err != nil {
+		return nil, ar.ioErr, err
+	}
+	return g.newRelease(name, source, slab, ar.fp, ar.n), nil, nil
+}
+
+// newRelease is the only constructor of a Release: a validated artifact
+// wrapped in a fresh answer cache and zeroed serving statistics.
+func (g *Registry) newRelease(name, source string, slab *psd.Slab, fingerprint uint64, size int64) *Release {
+	return &Release{
+		Name:        name,
+		Slab:        slab,
+		Source:      source,
+		Fingerprint: fingerprint,
+		Bytes:       size,
+		LoadedAt:    time.Now(),
+		NumRegions:  slab.NumRegions(),
+		cache:       NewCache(g.cacheSize),
+	}
+}
+
+// install swaps rel in under its name, returning it.
+func (g *Registry) install(rel *Release) *Release {
 	g.mu.Lock()
-	g.entries[name] = rel
-	g.noteInstallLocked(name)
+	g.putLocked(rel)
 	g.mu.Unlock()
 	return rel
+}
+
+// putLocked swaps rel in under its name (g.mu held for writing). A
+// replaced mmap-backed release is unmapped by the GC cleanup once in-flight
+// queries against it finish (Close here would race them).
+func (g *Registry) putLocked(rel *Release) {
+	g.entries[rel.Name] = rel
+	g.noteInstallLocked(rel.Name)
 }
 
 // validateName keeps registry names unambiguous in URLs and file names.
@@ -388,53 +409,49 @@ func (g *Registry) LoadFile(name, path string) (*Release, error) {
 }
 
 // loadFile is LoadFile reporting, on failure, whether the failure was
-// transient (the open or read itself errored — worth retrying) or permanent
-// (the bytes were read cleanly and are simply not a valid release). The
-// distinction drives the quarantine's retry policy.
+// transient (worth retrying) or permanent; see openRelease.
 func (g *Registry) loadFile(name, path string) (rel *Release, transient bool, err error) {
-	if so, ok := g.fs().(slabOpener); ok {
-		return g.loadFileDirect(so, name, path)
+	if err := validateKey(name); err != nil {
+		return nil, false, err
+	}
+	if rel, transient, err = g.openRelease(name, path); err != nil {
+		return nil, transient, err
+	}
+	return g.install(rel), false, nil
+}
+
+// openRelease is the one way a file becomes a Release (not yet installed),
+// reading it once through the FS seam. Where the seam can, a v3 artifact is
+// mmap'd (no decode, no copy — replicas share the page cache) and verified
+// in full, fingerprint included, so a bad file is refused exactly as the
+// decode path refuses it; that sequential pass doubles as a prefault.
+// Anything else is decoded from the seam's reader. On failure it reports
+// whether the failure was transient (the open or read itself errored —
+// worth retrying) or permanent (the bytes were read cleanly and are not a
+// valid release): the quarantine's retry policy turns on it.
+func (g *Registry) openRelease(name, path string) (rel *Release, transient bool, err error) {
+	if m, ok := g.fs().(slabMapper); ok {
+		slab, fp, size, err := m.MapSlab(path)
+		if err != nil {
+			// Failing to open or stat the file is transient; anything
+			// else is the mapped bytes failing verification.
+			var pe *fs.PathError
+			return nil, errors.As(err, &pe), fmt.Errorf("%s: %w", path, err)
+		}
+		if slab != nil {
+			return g.newRelease(name, path, slab, fp, size), false, nil
+		}
 	}
 	f, err := g.fs().Open(path)
 	if err != nil {
 		return nil, true, err
 	}
 	defer f.Close()
-	tr := &readTracker{r: f}
-	rel, err = g.Register(name, path, tr)
+	rel, ioErr, err := g.readRelease(name, path, f)
 	if err != nil {
-		return nil, tr.ioErr != nil, fmt.Errorf("%s: %w", path, err)
+		return nil, ioErr != nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rel, false, nil
-}
-
-// loadFileDirect loads through the FS's slabOpener capability: a v3
-// artifact is mmap'd (no decode, no copy — replicas share the page cache)
-// and then fully verified — footer checksum plus per-node validation — so
-// the corrupt-artifact guarantee is identical to the decode path: a bad
-// file is quarantined, never installed. Verify reads the mapping
-// sequentially, which doubles as a prefault: the first query after a load
-// never stalls on page faults.
-func (g *Registry) loadFileDirect(so slabOpener, name, path string) (*Release, bool, error) {
-	if err := validateKey(name); err != nil {
-		return nil, false, err
-	}
-	slab, err := so.OpenSlab(path)
-	if err != nil {
-		return nil, transientOpenErr(err), fmt.Errorf("%s: %w", path, err)
-	}
-	if err := slab.Verify(); err != nil {
-		// The bytes were mapped and read cleanly; a verification failure
-		// means the artifact itself is bad. Unmap eagerly — nothing else
-		// holds this slab.
-		slab.Close()
-		return nil, false, fmt.Errorf("%s: %w", path, err)
-	}
-	var size int64
-	if info, err := g.fs().Stat(path); err == nil {
-		size = info.Size()
-	}
-	return g.install(name, path, slab, size), false, nil
 }
 
 // ScanDir loads every *.json and *.bin artifact in dir, naming each release

@@ -253,16 +253,12 @@ func (g *Registry) pruneVanishedVersions(dir string, present map[string]bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for key, rel := range g.entries {
-		base, v, versioned, err := parseKey(key)
-		if err != nil || !versioned {
+		if _, _, versioned, err := parseKey(key); err != nil || !versioned ||
+			filepath.Dir(rel.Source) != dir || present[rel.Source] {
 			continue
 		}
-		if filepath.Dir(rel.Source) != dir || present[rel.Source] {
-			continue
-		}
-		delete(g.entries, key)
+		g.removeLocked(key)
 		delete(g.files, rel.Source)
-		g.dropVersionLocked(base, v)
 	}
 }
 

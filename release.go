@@ -55,28 +55,51 @@ func OpenSlab(r io.Reader) (*Slab, error) {
 //
 // The zero-copy path does not read the node section, so it cannot check
 // the artifact's checksum; call Verify afterwards to force the full-body
-// validation pass (the serving registry does). Close the returned slab to
-// unmap deterministically, or drop it and let the GC cleanup unmap.
+// validation pass, or use MapSlabFile, which runs it. Close the returned
+// slab to unmap deterministically, or drop it and let the GC cleanup unmap.
 func OpenSlabFile(path string) (*Slab, error) {
+	if s, err := mapSlabFile(path); s != nil || err != nil {
+		return s, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return OpenSlab(f)
+}
+
+// MapSlabFile maps a format-v3 artifact and runs Verify's full-body pass,
+// which also computes the artifact's fingerprint (CRC-64/ISO over every
+// byte, the value psdingest journals and manifests pin). It returns the
+// slab, the fingerprint and the file's size, having read the file once.
+// For an artifact OpenSlabFile would decode instead (not v3, a bad v3
+// header, no mmap here) it returns a nil slab and no error.
+func MapSlabFile(path string) (s *Slab, fingerprint uint64, size int64, err error) {
+	if s, err = mapSlabFile(path); s == nil {
+		return nil, 0, 0, err
+	}
+	if fingerprint, err = s.inner.Verify(); err != nil {
+		s.Close() // nothing else holds it: unmap eagerly
+		return nil, 0, 0, err
+	}
+	return s, fingerprint, s.inner.MappedSize(), nil
+}
+
+// mapSlabFile maps a v3 artifact without verifying its body. A failure to
+// open or stat the file is returned; anything else — not a v3 artifact, no
+// mmap here, an mmap(2) refusal — returns (nil, nil), so a corrupt v3
+// artifact reports its precise error from the decoder instead.
+func mapSlabFile(path string) (*Slab, error) {
 	inner, err := core.OpenSlabMmap(path)
 	if err == nil {
 		return &Slab{inner: inner}, nil
 	}
-	// A failure to open or stat the file would fail the read path the same
-	// way: surface it. Anything else — not a v3 artifact, no mmap on this
-	// platform, an mmap(2) refusal from an exotic filesystem — falls back
-	// to reading and decoding, which also runs the full validation, so a
-	// genuinely corrupt v3 artifact reports its precise decode error.
 	var pe *os.PathError
 	if errors.As(err, &pe) && pe.Op != "mmap" {
 		return nil, err
 	}
-	f, ferr := os.Open(path)
-	if ferr != nil {
-		return nil, ferr
-	}
-	defer f.Close()
-	return OpenSlab(f)
+	return nil, nil
 }
 
 func openSlab(r io.Reader) (*core.Slab, error) {

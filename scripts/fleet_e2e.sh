@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Fleet end-to-end check: 3 psdserve replicas behind psdproxy, serving the
-# golden v3 (zero-copy mmap) release. A query loop runs through the proxy
-# while one replica is SIGKILLed mid-loop; the contract is ZERO failed
-# queries, bit-identical answers throughout (a release's noise is fixed at
-# publish time, so failover must never change an answer), and the proxy's
-# /metrics reporting the killed backend down once the health checker
-# converges.
+# golden v3 (zero-copy mmap) release. First, three manifest rollouts go
+# through the proxy, pinned by the fingerprint `psdtool convert` prints:
+# the right pin updates every replica and answers bit-identically to the
+# -release copy, a pin with one flipped hex digit fails and leaves every
+# replica on the previous manifest, and a legacy "crc64" manifest gets a
+# 400. Then a query loop runs through the proxy while one replica is
+# SIGKILLed mid-loop; the contract is ZERO failed queries, bit-identical
+# answers throughout (a release's noise is fixed at publish time, so
+# failover must never change an answer), and the proxy's /metrics
+# reporting the killed backend down once the health checker converges.
 #
 # Usage: scripts/fleet_e2e.sh   (from the repo root; needs curl + jq)
 set -euo pipefail
@@ -20,9 +24,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== building psdserve + psdproxy"
+echo "== building psdserve + psdproxy + psdtool"
 go build -o /tmp/psdserve ./cmd/psdserve
 go build -o /tmp/psdproxy ./cmd/psdproxy
+go build -o /tmp/psdtool ./cmd/psdtool
 
 echo "== starting 3 replicas over the golden v3 release"
 for port in $P1 $P2 $P3; do
@@ -48,6 +53,46 @@ for i in $(seq 1 100); do
 done
 up "http://127.0.0.1:$PP/readyz" || { echo "proxy never became ready"; exit 1; }
 curl -fs "http://127.0.0.1:$PP/stats" | jq -e '.backends | length == 3' >/dev/null
+
+echo "== manifest rollouts pinned by the artifact fingerprint"
+PRIV="$PWD/testdata/release_privtree.v3.bin"
+# A v3 -> v3 conversion is byte-identical, so the printed fingerprint is
+# the committed artifact's.
+FP=$(/tmp/psdtool convert -in "$PRIV" -out /tmp/fleet_priv.bin \
+  | sed -n 's/.* fingerprint \([0-9a-f]\{16\}\)$/\1/p')
+test "${#FP}" -eq 16
+cmp "$PRIV" /tmp/fleet_priv.bin
+rollout() { # rollout <request.json>: POST it, print the status code
+  curl -s -o /tmp/fleet_rollout.json -w '%{http_code}' -X POST \
+    --data @"$1" "http://127.0.0.1:$PP/v1/rollout"
+}
+manifest() { # manifest <version> <pin key> <pin value>
+  jq -n --arg v "$1" --arg k "$2" --arg fp "$3" --arg p "$PRIV" \
+    '{canary: "ok", manifest: {version: $v, releases: [{name: "privm", path: $p, ($k): $fp}]}}'
+}
+on_m1() { # every replica still reports manifest m1
+  for port in $P1 $P2 $P3; do
+    curl -fs "http://127.0.0.1:$port/v1/manifest" | jq -e '.manifest.version == "m1"' >/dev/null
+  done
+}
+manifest m1 fingerprint "$FP" > /tmp/fleet_m1.json
+test "$(rollout /tmp/fleet_m1.json)" = 200
+jq -e '.ok and .updated == 3 and all(.backends[]; .status == "updated")' /tmp/fleet_rollout.json >/dev/null
+on_m1
+for rect in $(jq -r '.queries[].rect | join(",")' testdata/golden_queries.json); do
+  got=$(curl -fs "http://127.0.0.1:$PP/v1/releases/privm/count?rect=$rect" | jq -r '.count')
+  want=$(curl -fs "http://127.0.0.1:$P2/v1/releases/privv3/count?rect=$rect" | jq -r '.count')
+  test "$got" = "$want" || { echo "privm $rect: proxy $got, direct -release $want"; exit 1; }
+done
+case "${FP:0:1}" in 0) flip=1 ;; *) flip=0 ;; esac
+manifest m2 fingerprint "$flip${FP:1}" > /tmp/fleet_m2.json
+test "$(rollout /tmp/fleet_m2.json)" = 502
+jq -e '.ok == false and (.error | test("fingerprint mismatch"))' /tmp/fleet_rollout.json >/dev/null
+on_m1
+manifest m3 crc64 "$FP" > /tmp/fleet_m3.json
+test "$(rollout /tmp/fleet_m3.json)" = 400
+grep -q fingerprint /tmp/fleet_rollout.json
+on_m1
 
 echo "== recording pre-kill baseline answers through the proxy"
 mapfile -t RECTS < <(jq -r '.queries[].rect | join(",")' testdata/golden_queries.json)

@@ -125,7 +125,10 @@ func (s *Slab) WriteBinaryV3Release(w io.Writer) error {
 // decoded into heap memory those checks already ran, so Verify returns nil
 // without work. Serving tiers call this at load time so a corrupt artifact
 // is quarantined instead of answering queries wrong.
-func (s *Slab) Verify() error { return s.inner.Verify() }
+func (s *Slab) Verify() error {
+	_, err := s.inner.Verify()
+	return err
+}
 
 // Close releases the slab; for a slab opened zero-copy by OpenSlabFile it
 // unmaps the artifact. Any later use panics cleanly ("used after Close").
