@@ -17,7 +17,11 @@
 //   - ranging over a map — Go randomizes map iteration order, so any map
 //     walk that feeds release output (node ordering, serialized fields,
 //     accumulated sums) is a nondeterminism hole. Iterate a sorted key slice
-//     instead, or justify the exception with //lint:allow.
+//     instead, or justify the exception with //lint:allow;
+//   - outside internal/rng itself, calling rng.New or (*rng.Source).Split —
+//     a sequential source makes each draw depend on every draw before it,
+//     so the release would hinge on the order work is scheduled in. Every
+//     release draw comes from its own stream, rng.At(seed, stream, salt).
 package determinism
 
 import (
@@ -46,6 +50,8 @@ var bannedImports = map[string]string{
 }
 
 var bannedTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+const rngPath = "psd/internal/rng"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
@@ -78,6 +84,13 @@ func run(pass *analysis.Pass) error {
 						pass.Reportf(n.Pos(), "time.%s in build/release package %s: wall-clock readings make byte-identical rebuilds impossible; timing belongs in the serving/observability layer", fn, pass.PkgPath)
 					}
 				}
+				if pass.PkgPath != rngPath {
+					if pass.IsPkgFunc(n, rngPath, "New") {
+						pass.Reportf(n.Pos(), "rng.New in build/release package %s: %s", pass.PkgPath, sequentialWhy)
+					} else if isSourceSplit(pass, n) {
+						pass.Reportf(n.Pos(), "(*rng.Source).Split in build/release package %s: %s", pass.PkgPath, sequentialWhy)
+					}
+				}
 			case *ast.RangeStmt:
 				t := pass.TypeOf(n.X)
 				if t == nil {
@@ -91,4 +104,21 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+const sequentialWhy = "a sequential source makes each draw depend on the draws before it; draw from the consumer's own stream, rng.At(seed, stream, salt)"
+
+// isSourceSplit reports whether call is a call of the Split method of
+// psd/internal/rng's Source.
+func isSourceSplit(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Split" {
+		return false
+	}
+	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != rngPath {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil
 }

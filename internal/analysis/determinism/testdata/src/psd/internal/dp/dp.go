@@ -4,6 +4,8 @@ import (
 	crand "crypto/rand" // want `crypto/rand`
 	"math/rand"        // want `ambient randomness breaks seed-replayable builds`
 	"time"
+
+	"psd/internal/rng"
 )
 
 func ambient() float64 {
@@ -53,4 +55,20 @@ func sliceWalk(xs []float64) float64 {
 		sum += v
 	}
 	return sum
+}
+
+func sequential(seed int64) float64 {
+	src := rng.New(seed) // want `rng\.New in build/release package psd/internal/dp: a sequential source`
+	child := src.Split() // want `\(\*rng\.Source\)\.Split in build/release package`
+	return child.Float64()
+}
+
+func allowedSequential(seed int64) float64 {
+	//lint:allow determinism -- cells drawn in index order, one documented exception
+	return rng.New(seed).Float64()
+}
+
+func perStream(seed int64, node uint64) float64 {
+	src := rng.At(seed, node, 1)
+	return src.Float64()
 }

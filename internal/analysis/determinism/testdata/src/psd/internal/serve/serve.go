@@ -5,6 +5,8 @@ package serve
 import (
 	"math/rand"
 	"time"
+
+	"psd/internal/rng"
 )
 
 func jitter(d time.Duration) time.Duration {
@@ -19,3 +21,5 @@ func pick(m map[string]int) int {
 	}
 	return 0
 }
+
+func sequentialDraws(seed int64) float64 { return rng.New(seed).Split().Float64() }

@@ -20,6 +20,9 @@ import (
 // collide even though they share Config.Seed.
 const saltMedian = 0x6d656469616e // "median"
 
+// countSeed derives the count-noise seed from Config.Seed.
+const countSeed = 0x636f756e74 // "count"
+
 // medianStream maps a (node, slot) split to its RNG stream id. Each fanout-4
 // expansion performs three splits — x (slot 0), left y (slot 1), right y
 // (slot 2) — so a stride of 4 keeps node streams disjoint.
@@ -98,14 +101,15 @@ func Build(points []geom.Point, domain geom.Rect, cfg Config) (*PSD, error) {
 
 	// Phase 2: noisy counts, one Laplace release per published level
 	// (sensitivity 1 per level; levels compose sequentially along paths).
-	// With a StreamNoise source each node draws from its own stream, so the
-	// per-level sweep parallelizes without changing the release.
+	// Node i draws from noise stream i, so the per-level sweep parallelizes
+	// without changing the release.
+	noise := dp.NewSeededLaplace(cfg.Seed ^ countSeed)
 	var levels []float64
 	if cfg.Kind == PrivTree {
 		// PrivTree replaces the per-level release entirely: the adaptive
 		// splitting rule fixes the published shape, and one epsCount release
 		// covers the adaptive leaf partition (privtree.go).
-		levels, err = privTreeRelease(arena, cfg, epsStruct, epsCount, p, workers)
+		levels, err = privTreeRelease(arena, cfg, noise, epsStruct, epsCount, p, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +126,6 @@ func Build(points []geom.Point, domain geom.Rect, cfg Config) (*PSD, error) {
 		if err != nil {
 			return nil, err
 		}
-		sn, streaming := cfg.Noise.(dp.StreamNoise)
 		for d := 0; d <= cfg.Height; d++ {
 			level := cfg.Height - d
 			eps := levels[level]
@@ -130,24 +133,13 @@ func Build(points []geom.Point, domain geom.Rect, cfg Config) (*PSD, error) {
 				continue
 			}
 			lo, hi := arena.DepthRange(d)
-			if streaming {
-				par.For(workers, lo, hi, 1024, func(a, b int) {
-					for i := a; i < b; i++ {
-						n := &arena.Nodes[i]
-						n.Noisy = sn.AddAt(uint64(i), n.True, 1, eps)
-						n.Published = true
-					}
-				})
-			} else {
-				// Legacy noise sources consume one shared stream; keep the
-				// historical level-order consumption so their releases stay
-				// reproducible.
-				for i := lo; i < hi; i++ {
+			par.For(workers, lo, hi, 1024, func(a, b int) {
+				for i := a; i < b; i++ {
 					n := &arena.Nodes[i]
-					n.Noisy = cfg.Noise.Add(n.True, 1, eps)
+					n.Noisy = noise.AddAt(uint64(i), n.True, 1, eps)
 					n.Published = true
 				}
-			}
+			})
 		}
 	}
 	p.countEps = levels
@@ -212,10 +204,6 @@ func beforeUp(v float64) float64 {
 // buffers.
 type splitPlanner interface {
 	Split(pts []geom.Point, axis geom.Axis, r geom.Rect, depth, node, slot int, sc *median.Scratch) (float64, error)
-
-	// Sequential reports whether splits must run in DFS order on a single
-	// goroutine (a legacy Finder with hidden stream state).
-	Sequential() bool
 }
 
 // buildTask is one pending subtree of a parallel build.
@@ -238,9 +226,6 @@ type buildTask struct {
 // sequential build.
 func buildPartitionTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, sp splitPlanner, workers int) error {
 	arena.Nodes[0].Rect = domain
-	if sp.Sequential() {
-		workers = 1
-	}
 	var sc median.Scratch
 	if workers <= 1 || arena.Height() == 0 {
 		return buildSubtree(arena, sp, 0, pts, 0, &sc)
@@ -401,20 +386,16 @@ func (midpointSplitter) Split(_ []geom.Point, axis geom.Axis, r geom.Rect, _, _,
 	return (lo + hi) / 2, nil
 }
 
-func (midpointSplitter) Sequential() bool { return false }
-
 // medianSplitter performs private-median splits. Along any root-to-leaf
 // path each flattened level incurs two median computations (x then y), so
 // with dataLevels data-dependent levels the per-median budget is
 // epsStruct/(2·dataLevels) and the per-path structural spend is epsStruct
 // (Section 6.2's uniform median budgeting).
 //
-// When the configured Finder supports per-call streams (every built-in one
-// does), each split draws from rng.At(seed, medianStream(node, slot)):
-// identical splits whatever order — or goroutine — computes them.
+// Each split draws from rng.At(seed, medianStream(node, slot)): identical
+// splits whatever order — or goroutine — computes them.
 type medianSplitter struct {
 	f      median.Finder
-	sf     median.StreamFinder // nil when f has hidden stream state
 	seed   int64
 	epsPer float64
 	psd    *PSD
@@ -422,9 +403,6 @@ type medianSplitter struct {
 
 func newMedianSplitter(cfg Config, dataLevels int, epsStruct float64, p *PSD) (*medianSplitter, error) {
 	ms := &medianSplitter{f: cfg.Median, seed: cfg.Seed, psd: p}
-	if median.Streamable(cfg.Median) {
-		ms.sf, _ = cfg.Median.(median.StreamFinder)
-	}
 	if dataLevels > 0 && epsStruct > 0 {
 		ms.epsPer = epsStruct / float64(2*dataLevels)
 		p.structEps = epsStruct
@@ -432,26 +410,17 @@ func newMedianSplitter(cfg Config, dataLevels int, epsStruct float64, p *PSD) (*
 	return ms, nil
 }
 
-func (ms *medianSplitter) Sequential() bool { return ms.sf == nil }
-
 func (ms *medianSplitter) Split(pts []geom.Point, axis geom.Axis, r geom.Rect, _, node, slot int, sc *median.Scratch) (float64, error) {
 	lo, hi := r.Range(axis)
 	if hi <= lo {
 		return lo, nil
 	}
 	ms.psd.medianCalls.Add(1)
-	if ms.sf != nil {
-		vals := sc.Coords(len(pts))
-		for i, p := range pts {
-			vals[i] = axis.Coord(p)
-		}
-		return ms.sf.MedianAt(rng.At(ms.seed, medianStream(node, slot), saltMedian), sc, vals, lo, hi, ms.epsPer)
-	}
-	vals := make([]float64, len(pts))
+	vals := sc.Coords(len(pts))
 	for i, p := range pts {
 		vals[i] = axis.Coord(p)
 	}
-	return ms.f.Median(vals, lo, hi, ms.epsPer)
+	return ms.f.MedianAt(rng.At(ms.seed, medianStream(node, slot), saltMedian), sc, vals, lo, hi, ms.epsPer)
 }
 
 // hybridSplitter uses private medians above switchLevel and midpoints below
@@ -460,8 +429,6 @@ type hybridSplitter struct {
 	median      *medianSplitter
 	switchLevel int
 }
-
-func (h *hybridSplitter) Sequential() bool { return h.median.Sequential() }
 
 func (h *hybridSplitter) Split(pts []geom.Point, axis geom.Axis, r geom.Rect, depth, node, slot int, sc *median.Scratch) (float64, error) {
 	if depth < h.switchLevel {
@@ -486,7 +453,8 @@ func buildCellGrid(pts []geom.Point, domain geom.Rect, cfg Config, epsStruct flo
 		nx = (nx + 1) / 2
 		ny = (ny + 1) / 2
 	}
-	return grid.Build(pts, domain, nx, ny, epsStruct, cfg.Noise)
+	//lint:allow determinism -- kd-cell grid draws cells in order until keyed noise moves cell i to stream i
+	return grid.Build(pts, domain, nx, ny, epsStruct, rng.New(cfg.Seed^countSeed))
 }
 
 // cellSplitter reads kd-cell split points off the noisy grid. The grid is
@@ -495,8 +463,6 @@ type cellSplitter struct {
 	grid *grid.Grid
 	psd  *PSD
 }
-
-func (c *cellSplitter) Sequential() bool { return false }
 
 func (c *cellSplitter) Split(_ []geom.Point, axis geom.Axis, r geom.Rect, _, _, _ int, sc *median.Scratch) (float64, error) {
 	c.psd.medianCalls.Add(1)

@@ -34,10 +34,8 @@ import (
 	"time"
 
 	"psd/internal/budget"
-	"psd/internal/dp"
 	"psd/internal/geom"
 	"psd/internal/median"
-	"psd/internal/rng"
 	"psd/internal/tree"
 )
 
@@ -112,8 +110,9 @@ type Config struct {
 	CountFraction float64
 
 	// Median finds private split points for data-dependent kinds. Default:
-	// the exponential mechanism (the paper's recommendation), seeded from
-	// Seed. KDNoisyMean ignores this and always uses the noisy mean.
+	// the exponential mechanism (the paper's recommendation). Each split
+	// draws from its own stream of Seed, keyed by the split's node and slot.
+	// KDNoisyMean ignores this and always uses the noisy mean.
 	Median median.Finder
 
 	// SwitchLevel is the number of data-dependent flattened levels ℓ of a
@@ -130,10 +129,6 @@ type Config struct {
 	// post-processing, subtrees under nodes with estimated count below m
 	// are cut. Zero disables pruning.
 	PruneThreshold float64
-
-	// Noise perturbs counts. Default: the Laplace mechanism seeded from
-	// Seed.
-	Noise dp.NoiseSource
 
 	// Seed makes the build deterministic. Two builds with equal Config and
 	// data produce identical trees.
@@ -239,28 +234,19 @@ func (c Config) withDefaults(domain geom.Rect) (Config, error) {
 		c.CountFraction = 1.0
 	}
 	if c.Median == nil {
-		c.Median = &median.EM{Src: rng.New(c.Seed ^ 0x6d656469616e)}
+		c.Median = &median.EM{}
 	}
 	if c.NonPrivate || c.TrueMedians {
 		c.Median = median.Exact{}
 	}
 	if c.Kind == KDNoisyMean && !c.NonPrivate && !c.TrueMedians {
-		c.Median = &median.NM{Src: rng.New(c.Seed ^ 0x6e6d)}
+		c.Median = &median.NM{}
 	}
 	if c.Kind == Hybrid && c.SwitchLevel == 0 {
 		c.SwitchLevel = (c.Height + 1) / 2
 	}
 	if c.SwitchLevel < 0 || c.SwitchLevel > c.Height {
 		return c, fmt.Errorf("core: switch level %d outside [0,%d]", c.SwitchLevel, c.Height)
-	}
-	if c.Noise == nil {
-		if c.NonPrivate {
-			c.Noise = dp.ZeroNoise{}
-		} else {
-			// A StreamNoise source: node i draws from stream i, so the
-			// release is identical however the level sweep is scheduled.
-			c.Noise = dp.NewSeededLaplace(c.Seed ^ 0x636f756e74)
-		}
 	}
 	if c.HilbertOrder == 0 {
 		c.HilbertOrder = 18

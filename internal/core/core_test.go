@@ -379,7 +379,7 @@ func TestKDNoisyMeanUsesNM(t *testing.T) {
 	p, err := Build(pts, dom, Config{
 		Kind: KDNoisyMean, Height: 3, Epsilon: 1.0, Seed: 17,
 		// Median deliberately set to EM: KDNoisyMean must override it.
-		Median: &median.EM{Src: rng.New(1)},
+		Median: &median.EM{},
 	})
 	if err != nil {
 		t.Fatal(err)

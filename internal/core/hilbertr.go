@@ -35,9 +35,6 @@ func buildHilbertTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, cfg 
 		vals[i] = float64(mapper.Index(pt))
 	}
 	hb := &hilbertBuilder{cfg: cfg, psd: p, domain: domain, mapper: mapper}
-	if median.Streamable(cfg.Median) {
-		hb.sf, _ = cfg.Median.(median.StreamFinder)
-	}
 	if cfg.Height > 0 && epsStruct > 0 {
 		hb.epsPer = epsStruct / float64(2*cfg.Height)
 		p.structEps = epsStruct
@@ -50,9 +47,6 @@ func buildHilbertTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, cfg 
 	}
 	arena.Nodes[0].Rect = rootRect
 
-	if hb.sf == nil {
-		workers = 1
-	}
 	var sc median.Scratch
 	if workers <= 1 || arena.Height() == 0 {
 		return hb.buildSubtree(arena, 0, vals, 0, total, &sc)
@@ -85,7 +79,6 @@ type hilbertTask struct {
 
 type hilbertBuilder struct {
 	cfg    Config
-	sf     median.StreamFinder // nil forces the sequential legacy path
 	epsPer float64
 	psd    *PSD
 	domain geom.Rect
@@ -171,15 +164,9 @@ func (hb *hilbertBuilder) splitValue(node, slot int, vals []float64, lo, hi floa
 		return lo, nil
 	}
 	hb.psd.medianCalls.Add(1)
-	var m float64
-	var err error
-	if hb.sf != nil {
-		buf := sc.Coords(len(vals))
-		copy(buf, vals)
-		m, err = hb.sf.MedianAt(rng.At(hb.cfg.Seed, medianStream(node, slot), saltMedian), sc, buf, lo, hi, hb.epsPer)
-	} else {
-		m, err = hb.cfg.Median.Median(vals, lo, hi, hb.epsPer)
-	}
+	buf := sc.Coords(len(vals))
+	copy(buf, vals)
+	m, err := hb.cfg.Median.MedianAt(rng.At(hb.cfg.Seed, medianStream(node, slot), saltMedian), sc, buf, lo, hi, hb.epsPer)
 	if err != nil {
 		return 0, err
 	}

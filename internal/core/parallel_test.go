@@ -5,13 +5,14 @@ import (
 
 	"psd/internal/geom"
 	"psd/internal/median"
-	"psd/internal/rng"
 )
 
 // buildCfgs covers every decomposition family plus the post-processing and
 // pruning variations, so the parallel-equals-sequential guarantee is pinned
 // across the whole pipeline, not just the structure phase.
 func equivalenceConfigs() map[string]Config {
+	ss := &median.SS{Delta: 1e-4}
+	sampled := &median.Sampled{Inner: &median.EM{}, Rate: 0.5}
 	return map[string]Config{
 		"quadtree":      {Kind: Quadtree, Height: 4, Epsilon: 1, Seed: 41, PostProcess: true},
 		"kd":            {Kind: KD, Height: 4, Epsilon: 1, Seed: 42, PostProcess: true},
@@ -25,8 +26,14 @@ func equivalenceConfigs() map[string]Config {
 			Theta: 16, Lambda: 4},
 		"kd-true":     {Kind: KD, Height: 3, Epsilon: 1, Seed: 47, TrueMedians: true},
 		"quad-pruned": {Kind: Quadtree, Height: 4, Epsilon: 1, Seed: 48, PostProcess: true, PruneThreshold: 40},
-		"kd-sampled": {Kind: KD, Height: 3, Epsilon: 1, Seed: 49,
-			Median: &median.Sampled{Inner: &median.EM{}, Rate: 0.5}},
+		// EM (the default) above; SS and sampled EM below, on every kind
+		// whose splits Config.Median picks.
+		"kd-ss":             {Kind: KD, Height: 3, Epsilon: 1, Seed: 52, Median: ss},
+		"kd-sampled":        {Kind: KD, Height: 3, Epsilon: 1, Seed: 49, Median: sampled},
+		"kd-hybrid-ss":      {Kind: Hybrid, Height: 4, Epsilon: 1, Seed: 53, Median: ss},
+		"kd-hybrid-sampled": {Kind: Hybrid, Height: 4, Epsilon: 1, Seed: 54, Median: sampled},
+		"hilbert-r-ss":      {Kind: HilbertR, Height: 4, Epsilon: 1, Seed: 55, HilbertOrder: 8, Median: ss},
+		"hilbert-r-sampled": {Kind: HilbertR, Height: 4, Epsilon: 1, Seed: 56, HilbertOrder: 8, Median: sampled},
 	}
 }
 
@@ -93,56 +100,6 @@ func TestParallelBuildSeedDeterminism(t *testing.T) {
 		}
 		nodesEqual(t, name, a, b)
 	}
-}
-
-// seqOnlyFinder hides the stream interface: builds must detect it and fall
-// back to the deterministic sequential path instead of racing on its state.
-type seqOnlyFinder struct {
-	src *rng.Source
-}
-
-func (f *seqOnlyFinder) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	e := median.EM{Src: f.src}
-	return e.Median(values, lo, hi, eps)
-}
-
-func (f *seqOnlyFinder) Name() string { return "seq-only" }
-
-// A Sampled wrapper around a legacy inner finder satisfies StreamFinder
-// syntactically but delegates to hidden stream state; the build must treat
-// it as sequential-only or parallel workers would race on the inner source.
-func TestSampledLegacyInnerForcesSequential(t *testing.T) {
-	dom := geom.NewRect(0, 0, 100, 100)
-	pts := randomPoints(3000, dom, 100)
-	build := func() *PSD {
-		cfg := Config{
-			Kind: KD, Height: 3, Epsilon: 1, Seed: 6, Parallelism: 8,
-			Median: &median.Sampled{Inner: &seqOnlyFinder{src: rng.New(321)}, Src: rng.New(11), Rate: 0.5},
-		}
-		p, err := Build(pts, dom, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	nodesEqual(t, "sampled-legacy-inner", build(), build())
-}
-
-func TestLegacyFinderForcesSequentialDeterminism(t *testing.T) {
-	dom := geom.NewRect(0, 0, 100, 100)
-	pts := randomPoints(3000, dom, 99)
-	build := func() *PSD {
-		cfg := Config{
-			Kind: KD, Height: 3, Epsilon: 1, Seed: 5, Parallelism: 8,
-			Median: &seqOnlyFinder{src: rng.New(123)},
-		}
-		p, err := Build(pts, dom, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	nodesEqual(t, "seq-only", build(), build())
 }
 
 // The slab's iterative LeafRegions must reproduce the recursive arena

@@ -34,7 +34,7 @@ const saltPrivTree = 0x707674726565 // "pvtree"
 //
 // It returns the per-level count budgets recorded for the PSD: epsCount in
 // the leaf-level slot (one release covering the partition), zero elsewhere.
-func privTreeRelease(arena *tree.Tree, cfg Config, epsStruct, epsCount float64, p *PSD, workers int) ([]float64, error) {
+func privTreeRelease(arena *tree.Tree, cfg Config, noise *dp.SeededLaplace, epsStruct, epsCount float64, p *PSD, workers int) ([]float64, error) {
 	h := arena.Height()
 	noiseless := cfg.NonPrivate || cfg.TrueMedians
 	lambda := cfg.Lambda
@@ -99,33 +99,18 @@ func privTreeRelease(arena *tree.Tree, cfg Config, epsStruct, epsCount float64, 
 	p.stats.PrunedSubtrees = cut
 	p.effLeaves -= leafLoss
 
-	// Phase B: publish the adaptive leaves. With a StreamNoise source node i
-	// draws from stream i, so the sweep parallelizes without changing the
-	// release; legacy sources consume their shared stream in index order.
-	isAdaptiveLeaf := func(i int) bool {
-		return visited[i] && (arena.IsLeaf(i) || arena.Nodes[i].Pruned)
-	}
-	if sn, streaming := cfg.Noise.(dp.StreamNoise); streaming {
-		par.For(workers, 0, arena.Len(), 1024, func(a, b int) {
-			for i := a; i < b; i++ {
-				if !isAdaptiveLeaf(i) {
-					continue
-				}
-				n := &arena.Nodes[i]
-				n.Noisy = sn.AddAt(uint64(i), n.True, 1, epsCount)
-				n.Published = true
-			}
-		})
-	} else {
-		for i := range arena.Nodes {
-			if !isAdaptiveLeaf(i) {
+	// Phase B: publish the adaptive leaves. Node i draws from noise stream
+	// i, so the sweep parallelizes without changing the release.
+	par.For(workers, 0, arena.Len(), 1024, func(a, b int) {
+		for i := a; i < b; i++ {
+			n := &arena.Nodes[i]
+			if !visited[i] || !(arena.IsLeaf(i) || n.Pruned) {
 				continue
 			}
-			n := &arena.Nodes[i]
-			n.Noisy = cfg.Noise.Add(n.True, 1, epsCount)
+			n.Noisy = noise.AddAt(uint64(i), n.True, 1, epsCount)
 			n.Published = true
 		}
-	}
+	})
 
 	levels := make([]float64, h+1)
 	levels[0] = epsCount

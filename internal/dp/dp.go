@@ -3,14 +3,13 @@
 // constructions rely on:
 //
 //   - the Laplace mechanism (Definition 2) and its variance,
-//   - the geometric mechanism of [10] as an integer-valued alternative,
 //   - a generic exponential-mechanism sampler (Definition 5 is built on it),
 //   - sequential composition accounting (Lemma 1),
 //   - privacy amplification by Bernoulli sampling (Theorem 7),
 //   - the smooth-sensitivity noise calibration constant ξ (Definition 4).
 //
-// Noise enters through the NoiseSource interface so tests can substitute a
-// deterministic zero-noise source and assert exact structural invariants.
+// Count noise is drawn per stream (SeededLaplace.AddAt): a node's variate
+// depends only on the seed and the node's index, never on call order.
 package dp
 
 import (
@@ -21,64 +20,28 @@ import (
 	"psd/internal/rng"
 )
 
-// NoiseSource perturbs numeric query answers to achieve ε-differential
-// privacy. Implementations must be safe to call sequentially; they are not
-// required to be goroutine-safe.
-type NoiseSource interface {
-	// Add returns value perturbed with enough noise to make its release
-	// eps-differentially private given the stated L1 sensitivity. An eps of
-	// zero means "release nothing useful": implementations return value
-	// unchanged and callers are responsible for not releasing it (the tree
-	// code treats eps == 0 levels as unpublished).
-	Add(value, sensitivity, eps float64) float64
-
-	// Variance returns the variance of the noise Add would inject for the
-	// given sensitivity and eps. Zero eps yields +Inf (an unpublished value
-	// carries no information).
-	Variance(sensitivity, eps float64) float64
-}
-
-// StreamNoise is a NoiseSource that can additionally derive its noise from
-// a caller-chosen stream id instead of an internal sequential stream. The
-// variate for a given (stream, value, sensitivity, eps) is a pure function
-// of the source's seed and the arguments — independent of call order and
-// safe to invoke from many goroutines at once — which is what lets the tree
-// release loop run in parallel while staying byte-identical to a sequential
-// release.
-type StreamNoise interface {
-	NoiseSource
-
-	// AddAt is Add drawing from the stream-th noise stream.
-	AddAt(stream uint64, value, sensitivity, eps float64) float64
-}
-
 // saltNoise namespaces the per-stream noise draws away from any other use
 // of the same base seed.
 const saltNoise = 0x6e6f697365 // "noise"
 
-// SeededLaplace is the Laplace mechanism with order-independent per-stream
-// noise: stream i's variate depends only on (seed, i). It also supports the
-// legacy sequential Add for callers without a natural stream id (the grid
-// release uses it cell-by-cell).
+// SeededLaplace is the Laplace mechanism (Definition 2) with per-stream
+// noise: the variate for (stream, value, sensitivity, eps) is a pure
+// function of the seed and those arguments, so the tree release loop can
+// draw it in any order, from many goroutines, and stay byte-identical to a
+// sequential release.
 type SeededLaplace struct {
 	seed int64
-	seq  *rng.Source
 }
 
-// NewSeededLaplace returns a Laplace StreamNoise derived from seed.
+// NewSeededLaplace returns the Laplace mechanism derived from seed.
 func NewSeededLaplace(seed int64) *SeededLaplace {
-	return &SeededLaplace{seed: seed, seq: rng.New(seed)}
+	return &SeededLaplace{seed: seed}
 }
 
-// Add implements NoiseSource from the internal sequential stream.
-func (l *SeededLaplace) Add(value, sensitivity, eps float64) float64 {
-	if eps <= 0 {
-		return value
-	}
-	return value + l.seq.Laplace(sensitivity/eps)
-}
-
-// AddAt implements StreamNoise.
+// AddAt returns value perturbed with Lap(sensitivity/eps) noise drawn from
+// the stream-th noise stream. An eps of zero means "release nothing
+// useful": value comes back unchanged and the caller must not publish it
+// (the tree code treats eps == 0 levels as unpublished).
 func (l *SeededLaplace) AddAt(stream uint64, value, sensitivity, eps float64) float64 {
 	if eps <= 0 {
 		return value
@@ -87,30 +50,9 @@ func (l *SeededLaplace) AddAt(stream uint64, value, sensitivity, eps float64) fl
 	return value + src.Laplace(sensitivity/eps)
 }
 
-// Variance implements NoiseSource.
+// Variance returns the variance of the noise AddAt injects for the given
+// sensitivity and eps (see LaplaceVariance).
 func (l *SeededLaplace) Variance(sensitivity, eps float64) float64 {
-	return LaplaceVariance(sensitivity, eps)
-}
-
-// Laplace is the standard Laplace mechanism (Definition 2): it adds
-// Lap(sensitivity/eps) noise.
-type Laplace struct {
-	src *rng.Source
-}
-
-// NewLaplace returns a Laplace mechanism drawing from src.
-func NewLaplace(src *rng.Source) *Laplace { return &Laplace{src: src} }
-
-// Add implements NoiseSource.
-func (l *Laplace) Add(value, sensitivity, eps float64) float64 {
-	if eps <= 0 {
-		return value
-	}
-	return value + l.src.Laplace(sensitivity/eps)
-}
-
-// Variance implements NoiseSource. Var(Lap(b)) = 2b².
-func (l *Laplace) Variance(sensitivity, eps float64) float64 {
 	return LaplaceVariance(sensitivity, eps)
 }
 
@@ -123,51 +65,6 @@ func LaplaceVariance(sensitivity, eps float64) float64 {
 	b := sensitivity / eps
 	return 2 * b * b
 }
-
-// Geometric is the geometric mechanism of Ghosh, Roughgarden and
-// Sundararajan [10]: integer-valued two-sided geometric noise with parameter
-// α = exp(-eps/sensitivity). For count queries it is the utility-optimal
-// ε-DP mechanism; the paper cites it as related work and we provide it as an
-// alternative NoiseSource.
-type Geometric struct {
-	src *rng.Source
-}
-
-// NewGeometric returns a geometric mechanism drawing from src.
-func NewGeometric(src *rng.Source) *Geometric { return &Geometric{src: src} }
-
-// Add implements NoiseSource.
-func (g *Geometric) Add(value, sensitivity, eps float64) float64 {
-	if eps <= 0 {
-		return value
-	}
-	alpha := math.Exp(-eps / sensitivity)
-	return value + float64(g.src.TwoSidedGeometric(alpha))
-}
-
-// Variance implements NoiseSource. Var = 2α/(1-α)² for parameter α.
-func (g *Geometric) Variance(sensitivity, eps float64) float64 {
-	if eps <= 0 {
-		return math.Inf(1)
-	}
-	alpha := math.Exp(-eps / sensitivity)
-	d := 1 - alpha
-	return 2 * alpha / (d * d)
-}
-
-// ZeroNoise is a NoiseSource that adds nothing. It provides NO privacy and
-// exists so tests and the non-private baselines (kd-pure, kd-true) can run
-// through the identical code path as the private trees.
-type ZeroNoise struct{}
-
-// Add implements NoiseSource by returning value unchanged.
-func (ZeroNoise) Add(value, _, _ float64) float64 { return value }
-
-// AddAt implements StreamNoise by returning value unchanged.
-func (ZeroNoise) AddAt(_ uint64, value, _, _ float64) float64 { return value }
-
-// Variance implements NoiseSource; the zero source is noiseless.
-func (ZeroNoise) Variance(_, _ float64) float64 { return 0 }
 
 // ExpMechanism samples an index from {0, ..., len(scores)-1} with
 // probability proportional to weight(i) · exp(eps · scores(i) / (2·sens)),

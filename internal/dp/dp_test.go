@@ -7,13 +7,15 @@ import (
 	"psd/internal/rng"
 )
 
+// The Laplace draw the mechanism adds: unbiased, with variance
+// LaplaceVariance.
 func TestLaplaceMechanismUnbiased(t *testing.T) {
-	l := NewLaplace(rng.New(1))
+	src := rng.New(1)
 	const n = 100000
 	const truth, sens, eps = 40.0, 1.0, 0.5
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		v := l.Add(truth, sens, eps)
+		v := truth + src.Laplace(sens/eps)
 		sum += v
 		d := v - truth
 		sumSq += d * d
@@ -29,6 +31,34 @@ func TestLaplaceMechanismUnbiased(t *testing.T) {
 	}
 }
 
+// SeededLaplace draws stream i's variate from stream i alone: any call
+// order gives the same values, and across streams the noise is unbiased
+// with the Laplace variance.
+func TestSeededLaplaceStreams(t *testing.T) {
+	l := NewSeededLaplace(1)
+	const n = 100000
+	const truth, sens, eps = 40.0, 1.0, 0.5
+	vals := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		vals[i] = l.AddAt(uint64(i), truth, sens, eps)
+	}
+	var sum, sumSq float64
+	for i, v := range vals {
+		if again := l.AddAt(uint64(i), truth, sens, eps); again != v {
+			t.Fatalf("stream %d: %v then %v", i, v, again)
+		}
+		sum += v
+		sumSq += (v - truth) * (v - truth)
+	}
+	if mean := sum / n; math.Abs(mean-truth) > 0.1 {
+		t.Errorf("mean = %v, want ~%v", mean, truth)
+	}
+	wantVar := l.Variance(sens, eps)
+	if gotVar := sumSq / n; math.Abs(gotVar-wantVar)/wantVar > 0.05 {
+		t.Errorf("variance = %v, want ~%v", gotVar, wantVar)
+	}
+}
+
 func TestLaplaceVariance(t *testing.T) {
 	if v := LaplaceVariance(1, 1); math.Abs(v-2) > 1e-12 {
 		t.Errorf("Var(Lap(1)) = %v, want 2", v)
@@ -39,53 +69,16 @@ func TestLaplaceVariance(t *testing.T) {
 	if !math.IsInf(LaplaceVariance(1, 0), 1) {
 		t.Error("zero eps should have infinite variance")
 	}
-	l := NewLaplace(rng.New(1))
+	l := NewSeededLaplace(1)
 	if l.Variance(1, 1) != LaplaceVariance(1, 1) {
 		t.Error("method and function disagree")
 	}
 }
 
 func TestLaplaceZeroEpsPassesThrough(t *testing.T) {
-	l := NewLaplace(rng.New(1))
-	if got := l.Add(7, 1, 0); got != 7 {
-		t.Errorf("eps=0 Add = %v, want passthrough 7", got)
-	}
-}
-
-func TestGeometricMechanism(t *testing.T) {
-	g := NewGeometric(rng.New(2))
-	const n = 100000
-	const eps = 1.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := g.Add(10, 1, eps)
-		if v != math.Trunc(v) {
-			t.Fatalf("geometric mechanism output %v is not integer", v)
-		}
-		sum += v
-		d := v - 10
-		sumSq += d * d
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.05 {
-		t.Errorf("mean = %v, want ~10", mean)
-	}
-	wantVar := g.Variance(1, eps)
-	if gotVar := sumSq / n; math.Abs(gotVar-wantVar)/wantVar > 0.05 {
-		t.Errorf("variance = %v, want ~%v", gotVar, wantVar)
-	}
-	// The geometric mechanism is strictly better than Laplace for counts.
-	if g.Variance(1, eps) >= LaplaceVariance(1, eps) {
-		t.Error("geometric variance should undercut Laplace at sens=1")
-	}
-}
-
-func TestZeroNoise(t *testing.T) {
-	var z ZeroNoise
-	if z.Add(5, 1, 0.1) != 5 {
-		t.Error("ZeroNoise must pass values through")
-	}
-	if z.Variance(1, 0.1) != 0 {
-		t.Error("ZeroNoise variance must be 0")
+	l := NewSeededLaplace(1)
+	if got := l.AddAt(0, 7, 1, 0); got != 7 {
+		t.Errorf("eps=0 AddAt = %v, want passthrough 7", got)
 	}
 }
 

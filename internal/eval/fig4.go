@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"psd/internal/dp"
 	"psd/internal/grid"
 	"psd/internal/median"
 	"psd/internal/rng"
 )
 
 func buildFlatGrid(env *Env, side int, eps float64) (*grid.Grid, error) {
-	noise := dp.NewLaplace(rng.New(env.Scale.Seed ^ 0x67726964))
-	return grid.Build(env.Data.Points, env.Data.Domain, side, side, eps, noise)
+	return grid.Build(env.Data.Points, env.Data.Domain, side, side, eps, rng.New(env.Scale.Seed^0x67726964))
 }
 
 // Figure4Row is one (method, depth) cell of Figure 4: the average
@@ -60,20 +58,35 @@ var PaperFigure4 = Figure4Config{
 	Seed:       41,
 }
 
-// Figure4Methods returns the six methods the figure compares, keyed by the
-// paper's labels.
-func Figure4Methods(cfg Figure4Config) ([]string, map[string]median.Finder) {
-	src := rng.New(cfg.Seed)
-	m := map[string]median.Finder{
-		"EM":   &median.EM{Src: src.Split()},
-		"SS":   &median.SS{Src: src.Split(), Delta: cfg.Delta},
-		"EMs":  &median.Sampled{Inner: &median.EM{Src: src.Split()}, Src: src.Split(), Rate: cfg.SampleRate},
-		"SSs":  &median.Sampled{Inner: &median.SS{Src: src.Split(), Delta: cfg.Delta}, Src: src.Split(), Rate: cfg.SampleRate},
-		"NM":   &median.NM{Src: src.Split()},
-		"cell": &median.Cell{Src: src.Split(), Cells: int(cfg.Domain / cfg.CellWidth)},
+// figure4Method is one of the six methods the figure compares: the
+// paper's label, the finder, and the source each of its medians splits a
+// stream off.
+type figure4Method struct {
+	name   string
+	finder median.Finder
+	src    *rng.Source
+}
+
+// figure4Methods returns the figure's methods in the paper's order. The
+// sources split off cfg.Seed in the order that keeps every published row:
+// the two skipped splits once seeded the sampled methods' inner finders,
+// whose draws the wrapper's stream has always supplied.
+func figure4Methods(cfg Figure4Config) []figure4Method {
+	seed := rng.New(cfg.Seed)
+	em, ss := seed.Split(), seed.Split()
+	seed.Split()
+	ems := seed.Split()
+	seed.Split()
+	sss := seed.Split()
+	nm, cell := seed.Split(), seed.Split()
+	return []figure4Method{
+		{"EM", &median.EM{}, em},
+		{"SS", &median.SS{Delta: cfg.Delta}, ss},
+		{"EMs", &median.Sampled{Inner: &median.EM{}, Rate: cfg.SampleRate}, ems},
+		{"SSs", &median.Sampled{Inner: &median.SS{Delta: cfg.Delta}, Rate: cfg.SampleRate}, sss},
+		{"NM", &median.NM{}, nm},
+		{"cell", &median.Cell{Cells: int(cfg.Domain / cfg.CellWidth)}, cell},
 	}
-	order := []string{"EM", "SS", "EMs", "SSs", "NM", "cell"}
-	return order, m
 }
 
 // Figure4 reproduces Figure 4(a) and (b): for each private median method, a
@@ -89,11 +102,9 @@ func Figure4(cfg Figure4Config) ([]Figure4Row, error) {
 	for i := range base {
 		base[i] = src.UniformIn(0, cfg.Domain)
 	}
-	order, methods := Figure4Methods(cfg)
-
 	var rows []Figure4Row
-	for _, name := range order {
-		finder := methods[name]
+	var sc median.Scratch
+	for _, method := range figure4Methods(cfg) {
 		values := make([]float64, len(base))
 		copy(values, base)
 		// Active segments of the binary tree at the current depth.
@@ -115,9 +126,9 @@ func Figure4(cfg Figure4Config) ([]Figure4Row, error) {
 					next = append(next, s, segment{nil, s.lo, s.hi})
 					continue
 				}
-				m, err := finder.Median(s.vals, s.lo, s.hi, cfg.Eps)
+				m, err := method.finder.MedianAt(*method.src.Split(), &sc, s.vals, s.lo, s.hi, cfg.Eps)
 				if err != nil {
-					return nil, fmt.Errorf("%s depth %d: %w", name, depth, err)
+					return nil, fmt.Errorf("%s depth %d: %w", method.name, depth, err)
 				}
 				if len(s.vals) > 0 {
 					errSum += median.RankError(s.vals, m)
@@ -134,7 +145,7 @@ func Figure4(cfg Figure4Config) ([]Figure4Row, error) {
 				avg = 100 * errSum / float64(evals)
 			}
 			rows = append(rows, Figure4Row{
-				Method:  name,
+				Method:  method.name,
 				Depth:   depth,
 				RankErr: avg,
 				Time:    elapsed,

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"math"
 
-	"psd/internal/dp"
 	"psd/internal/geom"
+	"psd/internal/rng"
 )
 
 // Grid is a uniform nx × ny grid of noisy counts over a rectangular domain.
@@ -34,10 +34,12 @@ type Grid struct {
 const MaxCells = 1 << 26
 
 // Build constructs a grid over domain with nx × ny cells and releases each
-// cell count through noise with budget eps (sensitivity 1). Points outside
-// the domain are clamped into the boundary cells, matching the half-open
-// domain convention used by the trees.
-func Build(points []geom.Point, domain geom.Rect, nx, ny int, eps float64, noise dp.NoiseSource) (*Grid, error) {
+// cell count with Lap(1/eps) noise drawn from src, one variate per cell in
+// cell order. An eps of zero releases the exact counts and draws nothing
+// (src may then be nil). Points outside the domain are clamped into the
+// boundary cells, matching the half-open domain convention used by the
+// trees.
+func Build(points []geom.Point, domain geom.Rect, nx, ny int, eps float64, src *rng.Source) (*Grid, error) {
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("grid: dimensions %dx%d invalid", nx, ny)
 	}
@@ -50,7 +52,7 @@ func Build(points []geom.Point, domain geom.Rect, nx, ny int, eps float64, noise
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("grid: invalid eps %v", eps)
 	}
-	if noise == nil {
+	if src == nil && eps > 0 {
 		return nil, fmt.Errorf("grid: nil noise source")
 	}
 	g := &Grid{
@@ -67,8 +69,11 @@ func Build(points []geom.Point, domain geom.Rect, nx, ny int, eps float64, noise
 		cy := g.clampY(int((p.Y - domain.Lo.Y) / g.cellH))
 		g.exact[cy*nx+cx]++
 	}
-	for i, c := range g.exact {
-		g.noisy[i] = noise.Add(c, 1, eps)
+	copy(g.noisy, g.exact)
+	if eps > 0 {
+		for i := range g.noisy {
+			g.noisy[i] += src.Laplace(1 / eps)
+		}
 	}
 	g.eps = eps
 	return g, nil

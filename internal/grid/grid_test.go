@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"psd/internal/dp"
 	"psd/internal/geom"
 	"psd/internal/rng"
 )
@@ -23,19 +22,19 @@ func uniformPoints(n int, dom geom.Rect, seed int64) []geom.Point {
 
 func TestBuildValidation(t *testing.T) {
 	dom := geom.NewRect(0, 0, 1, 1)
-	if _, err := Build(nil, dom, 0, 4, 1, dp.ZeroNoise{}); err == nil {
+	if _, err := Build(nil, dom, 0, 4, 0, nil); err == nil {
 		t.Error("zero nx should error")
 	}
-	if _, err := Build(nil, geom.Rect{}, 4, 4, 1, dp.ZeroNoise{}); err == nil {
+	if _, err := Build(nil, geom.Rect{}, 4, 4, 0, nil); err == nil {
 		t.Error("empty domain should error")
 	}
-	if _, err := Build(nil, dom, 4, 4, -1, dp.ZeroNoise{}); err == nil {
+	if _, err := Build(nil, dom, 4, 4, -1, nil); err == nil {
 		t.Error("negative eps should error")
 	}
 	if _, err := Build(nil, dom, 4, 4, 1, nil); err == nil {
 		t.Error("nil noise should error")
 	}
-	if _, err := Build(nil, dom, 1<<14, 1<<14, 1, dp.ZeroNoise{}); err == nil {
+	if _, err := Build(nil, dom, 1<<14, 1<<14, 0, nil); err == nil {
 		t.Error("oversized grid should error")
 	}
 }
@@ -47,7 +46,7 @@ func TestExactCountsWithZeroNoise(t *testing.T) {
 		{X: 3.5, Y: 3.5}, // cell (3,3)
 		{X: 2.1, Y: 0.2}, // cell (2,0)
 	}
-	g, err := Build(pts, dom, 4, 4, 1, dp.ZeroNoise{})
+	g, err := Build(pts, dom, 4, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestExactCountsWithZeroNoise(t *testing.T) {
 	if nx != 4 || ny != 4 {
 		t.Errorf("Dims = %d,%d", nx, ny)
 	}
-	if g.Epsilon() != 1 {
+	if g.Epsilon() != 0 {
 		t.Errorf("Epsilon = %v", g.Epsilon())
 	}
 	if g.Domain() != dom {
@@ -78,7 +77,7 @@ func TestExactCountsWithZeroNoise(t *testing.T) {
 func TestOutOfDomainPointsClampToBoundaryCells(t *testing.T) {
 	dom := geom.NewRect(0, 0, 4, 4)
 	pts := []geom.Point{{X: -1, Y: -1}, {X: 99, Y: 99}, {X: 4, Y: 4}}
-	g, err := Build(pts, dom, 4, 4, 1, dp.ZeroNoise{})
+	g, err := Build(pts, dom, 4, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestOutOfDomainPointsClampToBoundaryCells(t *testing.T) {
 func TestQueryAlignedExact(t *testing.T) {
 	dom := geom.NewRect(0, 0, 8, 8)
 	pts := uniformPoints(2000, dom, 1)
-	g, err := Build(pts, dom, 8, 8, 1, dp.ZeroNoise{})
+	g, err := Build(pts, dom, 8, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestQueryUnalignedUsesUniformity(t *testing.T) {
 	dom := geom.NewRect(0, 0, 2, 2)
 	// One point in each unit cell.
 	pts := []geom.Point{{X: 0.5, Y: 0.5}, {X: 1.5, Y: 0.5}, {X: 0.5, Y: 1.5}, {X: 1.5, Y: 1.5}}
-	g, err := Build(pts, dom, 2, 2, 1, dp.ZeroNoise{})
+	g, err := Build(pts, dom, 2, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestNoiseScalesWithEps(t *testing.T) {
 		var sum float64
 		const trials = 30
 		for i := int64(0); i < trials; i++ {
-			g, err := Build(pts, dom, 16, 16, eps, dp.NewLaplace(rng.New(seed+i)))
+			g, err := Build(pts, dom, 16, 16, eps, rng.New(seed+i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +163,7 @@ func TestMedianAlong(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		pts = append(pts, geom.Point{X: src.UniformIn(0, 25), Y: src.UniformIn(0, 100)})
 	}
-	g, err := Build(pts, dom, 100, 100, 1, dp.ZeroNoise{})
+	g, err := Build(pts, dom, 100, 100, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestMedianAlong(t *testing.T) {
 
 func TestMedianAlongDegenerate(t *testing.T) {
 	dom := geom.NewRect(0, 0, 10, 10)
-	g, err := Build(nil, dom, 10, 10, 1, dp.ZeroNoise{})
+	g, err := Build(nil, dom, 10, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestMedianAlongDegenerate(t *testing.T) {
 func TestMedianAlongStaysInRange(t *testing.T) {
 	dom := geom.NewRect(0, 0, 10, 10)
 	pts := uniformPoints(1000, dom, 4)
-	g, err := Build(pts, dom, 20, 20, 0.1, dp.NewLaplace(rng.New(5)))
+	g, err := Build(pts, dom, 20, 20, 0.1, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestFineGridNoiseSwampsSparseData(t *testing.T) {
 	// thousands of cells — the signal drowns.
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := uniformPoints(50, dom, 6)
-	g, err := Build(pts, dom, 64, 64, 0.1, dp.NewLaplace(rng.New(7)))
+	g, err := Build(pts, dom, 64, 64, 0.1, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestFineGridNoiseSwampsSparseData(t *testing.T) {
 	var absErr float64
 	const trials = 20
 	for i := 0; i < trials; i++ {
-		g, _ = Build(pts, dom, 64, 64, 0.1, dp.NewLaplace(rng.New(int64(100+i))))
+		g, _ = Build(pts, dom, 64, 64, 0.1, rng.New(int64(100+i)))
 		absErr += math.Abs(g.Query(q) - truth)
 	}
 	absErr /= trials

@@ -16,10 +16,9 @@
 // independent choice, which costs no budget but is charged anyway for
 // simplicity (a conservative accounting).
 //
-// Every built-in finder also implements StreamFinder, the hot-path variant
-// the tree builders use: the caller supplies the randomness stream and a
-// reusable Scratch, so a build performs no per-median allocation and a
-// node's split depends only on its own stream — the property that lets
+// A finder holds no randomness of its own: the caller supplies the stream
+// and a reusable Scratch, so a build performs no per-median allocation and
+// a node's split depends only on its own stream — the property that lets
 // subtrees build in parallel yet release byte-identical trees.
 package median
 
@@ -36,47 +35,23 @@ import (
 // Finder computes a private median of a set of values within a public
 // domain. Implementations consume eps of privacy budget per call.
 type Finder interface {
-	// Median returns a private estimate of the median of values, which need
-	// not be sorted. lo < hi describe the public domain; values outside it
-	// are clamped. The result always lies in [lo, hi].
-	Median(values []float64, lo, hi, eps float64) (float64, error)
+	// MedianAt returns a private estimate of the median of values, which
+	// need not be sorted, drawing all randomness from src and using sc for
+	// all temporary buffers. lo < hi describe the public domain; values
+	// outside it are clamped. The result always lies in [lo, hi]. values
+	// may be overwritten. MedianAt must not retain sc and must be safe for
+	// concurrent calls with distinct (src, sc) pairs.
+	//
+	// src travels by value deliberately: a Source is two words, and passing
+	// a pointer through an interface call would force a heap allocation per
+	// median (the callee type is opaque to escape analysis). The caller
+	// hands over a throwaway stream; whatever state is left after the call
+	// is discarded.
+	MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error)
 
 	// Name returns the identifier used in experiment tables (em, ss, nm,
 	// cell, em-s, ss-s, exact).
 	Name() string
-}
-
-// StreamFinder is a Finder whose randomness and working memory can be
-// supplied per call. MedianAt must not retain sc, must draw all randomness
-// from src, and must be safe for concurrent calls with distinct (src, sc)
-// pairs. The tree builders require this interface for parallel
-// construction; a Finder without it forces a sequential build.
-//
-// src travels by value deliberately: a Source is two words, and passing a
-// pointer through an interface call would force a heap allocation per
-// median (the callee type is opaque to escape analysis). The caller hands
-// over a throwaway stream; whatever state is left after the call is
-// discarded.
-type StreamFinder interface {
-	Finder
-
-	// MedianAt is Median drawing randomness from src and using sc for all
-	// temporary buffers. values may be overwritten.
-	MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error)
-}
-
-// Streamable reports whether f's MedianAt really is order-independent: f
-// must implement StreamFinder, and wrappers must wrap streamable inners.
-// A Sampled around a legacy Finder satisfies the StreamFinder interface
-// syntactically but falls back to the inner's hidden stream state, so the
-// tree builders must gate on this predicate — not a bare type assertion —
-// before fanning splits across goroutines.
-func Streamable(f Finder) bool {
-	if s, ok := f.(*Sampled); ok {
-		return Streamable(s.Inner)
-	}
-	_, ok := f.(StreamFinder)
-	return ok
 }
 
 // Scratch holds the reusable buffers of the median hot path so repeated
@@ -139,14 +114,8 @@ func lowerMedianIndex(n int) int { return (n + 1) / 2 }
 // and kd-true baselines of Section 8.2 and for tests; it offers no privacy.
 type Exact struct{}
 
-// Median implements Finder.
-func (e Exact) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return e.MedianAt(rng.Source{}, &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder; the exact median consumes no
-// randomness, so src is ignored.
+// MedianAt implements Finder; the exact median consumes no randomness, so
+// src is ignored.
 func (Exact) MedianAt(_ rng.Source, sc *Scratch, values []float64, lo, hi, _ float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -166,17 +135,9 @@ func (Exact) Name() string { return "exact" }
 // over the intervals I_k between consecutive data values, then uniformly
 // within the chosen interval. It is ε-differentially private (rank has
 // sensitivity 1).
-type EM struct {
-	Src *rng.Source
-}
+type EM struct{}
 
-// Median implements Finder, drawing from the finder's own Src.
-func (e *EM) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return e.MedianAt(*e.Src.Split(), &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder.
+// MedianAt implements Finder.
 func (e *EM) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -238,18 +199,11 @@ func (e *EM) Name() string { return "em" }
 // σ_s is the ξ-smooth sensitivity of the median. It satisfies the slightly
 // weaker (ε, δ)-differential privacy.
 type SS struct {
-	Src *rng.Source
 	// Delta is the δ of (ε, δ)-DP; the paper's experiments use 1e-4.
 	Delta float64
 }
 
-// Median implements Finder, drawing from the finder's own Src.
-func (s *SS) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return s.MedianAt(*s.Src.Split(), &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder.
+// MedianAt implements Finder.
 func (s *SS) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -316,17 +270,9 @@ func SmoothSensitivity(v []float64, lo, hi, xi float64) float64 {
 // sum (of values shifted to [0, M]) has sensitivity M and the count has
 // sensitivity 1; the budget is split evenly between them. It is fast but
 // gives no guarantee of being close to the median (Section 6.1).
-type NM struct {
-	Src *rng.Source
-}
+type NM struct{}
 
-// Median implements Finder, drawing from the finder's own Src.
-func (nm *NM) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return nm.MedianAt(*nm.Src.Split(), &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder.
+// MedianAt implements Finder.
 func (nm *NM) MedianAt(src rng.Source, _ *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -358,19 +304,12 @@ func (nm *NM) Name() string { return "nm" }
 // 1), and read the median off the noisy cumulative distribution with linear
 // interpolation inside the crossing cell.
 type Cell struct {
-	Src *rng.Source
 	// Cells is the number of grid cells; the Figure 4 experiment uses a
 	// cell length of 2^10 over a domain of 2^26, i.e. 2^16 cells.
 	Cells int
 }
 
-// Median implements Finder, drawing from the finder's own Src.
-func (c *Cell) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return c.MedianAt(*c.Src.Split(), &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder.
+// MedianAt implements Finder.
 func (c *Cell) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -425,22 +364,12 @@ func (c *Cell) Name() string { return "cell" }
 // "about 50 times larger" effect the paper reports.
 type Sampled struct {
 	Inner Finder
-	Src   *rng.Source
 	// Rate is the Bernoulli sampling probability in (0, 1].
 	Rate float64
 }
 
-// Median implements Finder, drawing from the finder's own Src.
-func (s *Sampled) Median(values []float64, lo, hi, eps float64) (float64, error) {
-	var sc Scratch
-	return s.MedianAt(*s.Src.Split(), &sc, values, lo, hi, eps)
-}
-
-// MedianAt implements StreamFinder. The sampling draw and the inner
-// mechanism share src, so one stream fully determines the call. An Inner
-// that is itself a StreamFinder keeps the call allocation-free and
-// order-independent; a plain Finder falls back to its own Median (and its
-// own internal randomness).
+// MedianAt implements Finder. The sampling draw and the inner mechanism
+// share src, so one stream fully determines the call.
 func (s *Sampled) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
@@ -457,10 +386,7 @@ func (s *Sampled) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi
 	for i, j := range sc.idx {
 		sample[i] = values[j]
 	}
-	if sf, ok := s.Inner.(StreamFinder); ok {
-		return sf.MedianAt(src, sc, sample, lo, hi, inner)
-	}
-	return s.Inner.Median(sample, lo, hi, inner)
+	return s.Inner.MedianAt(src, sc, sample, lo, hi, inner)
 }
 
 // Name implements Finder.

@@ -16,19 +16,40 @@ func uniformData(n int, lo, hi float64) []float64 {
 	return out
 }
 
-func allFinders(src *rng.Source) []Finder {
-	return []Finder{
-		Exact{},
-		&EM{Src: src.Split()},
-		&SS{Src: src.Split(), Delta: 1e-4},
-		&NM{Src: src.Split()},
-		&Cell{Src: src.Split(), Cells: 1024},
-		&Sampled{Inner: &EM{Src: src.Split()}, Src: src.Split(), Rate: 0.05},
+// seeded pairs a finder with the source each of its calls splits a fresh
+// stream off, so a test's repeated calls draw independent medians.
+type seeded struct {
+	Finder
+	src *rng.Source
+}
+
+func (s seeded) median(values []float64, lo, hi, eps float64) (float64, error) {
+	var sc Scratch
+	return s.MedianAt(*s.src.Split(), &sc, values, lo, hi, eps)
+}
+
+func exactMedian(values []float64, lo, hi float64) (float64, error) {
+	var sc Scratch
+	return Exact{}.MedianAt(rng.Source{}, &sc, values, lo, hi, 0)
+}
+
+// allFinders splits each finder's source off src in a fixed order; the
+// split before the sampled finder's keeps that finder's draws where they
+// were when its inner EM held a source of its own.
+func allFinders(src *rng.Source) []seeded {
+	fs := []seeded{
+		{Exact{}, new(rng.Source)},
+		{&EM{}, src.Split()},
+		{&SS{Delta: 1e-4}, src.Split()},
+		{&NM{}, src.Split()},
+		{&Cell{Cells: 1024}, src.Split()},
 	}
+	src.Split()
+	return append(fs, seeded{&Sampled{Inner: &EM{}, Rate: 0.05}, src.Split()})
 }
 
 func TestExactMedian(t *testing.T) {
-	m, err := Exact{}.Median([]float64{5, 1, 3}, 0, 10, 0)
+	m, err := exactMedian([]float64{5, 1, 3}, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +57,17 @@ func TestExactMedian(t *testing.T) {
 		t.Errorf("median = %v, want 3", m)
 	}
 	// Lower median for even n.
-	m, _ = Exact{}.Median([]float64{1, 2, 3, 4}, 0, 10, 0)
+	m, _ = exactMedian([]float64{1, 2, 3, 4}, 0, 10)
 	if m != 2 {
 		t.Errorf("even-n median = %v, want 2 (lower)", m)
 	}
 	// Empty input: domain midpoint.
-	m, _ = Exact{}.Median(nil, 0, 10, 0)
+	m, _ = exactMedian(nil, 0, 10)
 	if m != 5 {
 		t.Errorf("empty median = %v, want 5", m)
 	}
 	// Values clamp into the domain.
-	m, _ = Exact{}.Median([]float64{-100, 2, 100}, 0, 10, 0)
+	m, _ = exactMedian([]float64{-100, 2, 100}, 0, 10)
 	if m != 2 {
 		t.Errorf("clamped median = %v, want 2", m)
 	}
@@ -55,10 +76,10 @@ func TestExactMedian(t *testing.T) {
 func TestDomainValidation(t *testing.T) {
 	src := rng.New(1)
 	for _, f := range allFinders(src) {
-		if _, err := f.Median([]float64{1}, 5, 5, 1); err == nil {
+		if _, err := f.median([]float64{1}, 5, 5, 1); err == nil {
 			t.Errorf("%s: degenerate domain should error", f.Name())
 		}
-		if _, err := f.Median([]float64{1}, math.NaN(), 1, 1); err == nil {
+		if _, err := f.median([]float64{1}, math.NaN(), 1, 1); err == nil {
 			t.Errorf("%s: NaN domain should error", f.Name())
 		}
 	}
@@ -69,7 +90,7 @@ func TestAllFindersStayInDomain(t *testing.T) {
 	data := uniformData(501, 10, 20)
 	for _, f := range allFinders(src) {
 		for trial := 0; trial < 50; trial++ {
-			m, err := f.Median(data, 0, 100, 0.5)
+			m, err := f.median(data, 0, 100, 0.5)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name(), err)
 			}
@@ -83,7 +104,7 @@ func TestAllFindersStayInDomain(t *testing.T) {
 func TestAllFindersHandleEmptyInput(t *testing.T) {
 	src := rng.New(3)
 	for _, f := range allFinders(src) {
-		m, err := f.Median(nil, 0, 10, 0.5)
+		m, err := f.median(nil, 0, 10, 0.5)
 		if err != nil {
 			t.Fatalf("%s on empty input: %v", f.Name(), err)
 		}
@@ -95,12 +116,12 @@ func TestAllFindersHandleEmptyInput(t *testing.T) {
 
 func TestEMAccurateAtHighEps(t *testing.T) {
 	src := rng.New(4)
-	em := &EM{Src: src}
+	em := seeded{&EM{}, src}
 	data := uniformData(2001, 0, 1000) // median 500.25
 	var errSum float64
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		m, err := em.Median(data, 0, 1000, 5.0)
+		m, err := em.median(data, 0, 1000, 5.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +134,7 @@ func TestEMAccurateAtHighEps(t *testing.T) {
 
 func TestEMDegradesAtLowEps(t *testing.T) {
 	src := rng.New(5)
-	em := &EM{Src: src}
+	em := seeded{&EM{}, src}
 	data := uniformData(101, 0, 1000)
 	hi := avgRankError(t, em, data, 0, 1000, 5.0, 80)
 	lo := avgRankError(t, em, data, 0, 1000, 0.001, 80)
@@ -122,11 +143,11 @@ func TestEMDegradesAtLowEps(t *testing.T) {
 	}
 }
 
-func avgRankError(t *testing.T, f Finder, data []float64, lo, hi, eps float64, trials int) float64 {
+func avgRankError(t *testing.T, f seeded, data []float64, lo, hi, eps float64, trials int) float64 {
 	t.Helper()
 	var sum float64
 	for i := 0; i < trials; i++ {
-		m, err := f.Median(data, lo, hi, eps)
+		m, err := f.median(data, lo, hi, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,9 +158,9 @@ func avgRankError(t *testing.T, f Finder, data []float64, lo, hi, eps float64, t
 
 func TestEMIdenticalValues(t *testing.T) {
 	src := rng.New(6)
-	em := &EM{Src: src}
+	em := seeded{&EM{}, src}
 	data := []float64{7, 7, 7, 7, 7}
-	m, err := em.Median(data, 0, 10, 1.0)
+	m, err := em.median(data, 0, 10, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +211,7 @@ func TestSmoothSensitivityProperties(t *testing.T) {
 
 func TestSSMedianReasonable(t *testing.T) {
 	src := rng.New(7)
-	ss := &SS{Src: src, Delta: 1e-4}
+	ss := seeded{&SS{Delta: 1e-4}, src}
 	data := uniformData(5001, 0, 1000)
 	if avg := avgRankError(t, ss, data, 0, 1000, 0.9, 40); avg > 0.15 {
 		t.Errorf("SS rank error at eps=0.9: %v, want < 0.15", avg)
@@ -199,24 +220,24 @@ func TestSSMedianReasonable(t *testing.T) {
 
 func TestSSRejectsBadParams(t *testing.T) {
 	src := rng.New(8)
-	ss := &SS{Src: src, Delta: 0}
-	if _, err := ss.Median([]float64{1, 2}, 0, 10, 0.5); err == nil {
+	ss := seeded{&SS{Delta: 0}, src}
+	if _, err := ss.median([]float64{1, 2}, 0, 10, 0.5); err == nil {
 		t.Error("delta=0 should error")
 	}
-	ss = &SS{Src: src, Delta: 1e-4}
-	if _, err := ss.Median([]float64{1, 2}, 0, 10, 2.0); err == nil {
+	ss = seeded{&SS{Delta: 1e-4}, src}
+	if _, err := ss.median([]float64{1, 2}, 0, 10, 2.0); err == nil {
 		t.Error("eps >= 1 should error (Definition 4 requires eps < 1)")
 	}
 }
 
 func TestNMOnSymmetricData(t *testing.T) {
 	src := rng.New(9)
-	nm := &NM{Src: src}
+	nm := seeded{&NM{}, src}
 	data := uniformData(10001, 400, 600) // mean == median == 500
 	var sum float64
 	const trials = 40
 	for i := 0; i < trials; i++ {
-		m, err := nm.Median(data, 0, 1000, 1.0)
+		m, err := nm.median(data, 0, 1000, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +252,7 @@ func TestNMSkewBias(t *testing.T) {
 	// On skewed data the mean is a poor median surrogate — the failure mode
 	// the paper attributes to kd-noisymean. 90% of mass near 0, 10% at 1000.
 	src := rng.New(10)
-	nm := &NM{Src: src}
+	nm := seeded{&NM{}, src}
 	data := make([]float64, 0, 1000)
 	for i := 0; i < 900; i++ {
 		data = append(data, float64(i%10))
@@ -242,11 +263,11 @@ func TestNMSkewBias(t *testing.T) {
 	var sum float64
 	const trials = 40
 	for i := 0; i < trials; i++ {
-		m, _ := nm.Median(data, 0, 1000, 2.0)
+		m, _ := nm.median(data, 0, 1000, 2.0)
 		sum += m
 	}
 	avg := sum / trials
-	trueMed, _ := Exact{}.Median(data, 0, 1000, 0)
+	trueMed, _ := exactMedian(data, 0, 1000)
 	if avg < trueMed+50 {
 		t.Errorf("NM should be pulled far above the true median %v, got %v", trueMed, avg)
 	}
@@ -254,8 +275,8 @@ func TestNMSkewBias(t *testing.T) {
 
 func TestNMZeroEps(t *testing.T) {
 	src := rng.New(11)
-	nm := &NM{Src: src}
-	m, err := nm.Median([]float64{1, 2, 3}, 0, 10, 0)
+	nm := seeded{&NM{}, src}
+	m, err := nm.median([]float64{1, 2, 3}, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +287,14 @@ func TestNMZeroEps(t *testing.T) {
 
 func TestCellMedian(t *testing.T) {
 	src := rng.New(12)
-	c := &Cell{Src: src, Cells: 256}
+	c := seeded{&Cell{Cells: 256}, src}
 	data := uniformData(4096, 0, 1000)
 	if avg := avgRankError(t, c, data, 0, 1000, 1.0, 40); avg > 0.05 {
 		t.Errorf("cell rank error = %v, want < 0.05", avg)
 	}
 	// Needs at least one cell.
-	bad := &Cell{Src: src, Cells: 0}
-	if _, err := bad.Median(data, 0, 1000, 1.0); err == nil {
+	bad := seeded{&Cell{Cells: 0}, src}
+	if _, err := bad.median(data, 0, 1000, 1.0); err == nil {
 		t.Error("zero cells should error")
 	}
 }
@@ -282,12 +303,12 @@ func TestCellCoarseGridLimitsAccuracy(t *testing.T) {
 	// With a single cell the method can only interpolate linearly across the
 	// whole domain — skewed data then yields a biased median.
 	src := rng.New(13)
-	c := &Cell{Src: src, Cells: 1}
+	c := seeded{&Cell{Cells: 1}, src}
 	data := make([]float64, 1000)
 	for i := range data {
 		data[i] = 10 // all mass at 10, true median 10
 	}
-	m, err := c.Median(data, 0, 1000, 5.0)
+	m, err := c.median(data, 0, 1000, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +319,8 @@ func TestCellCoarseGridLimitsAccuracy(t *testing.T) {
 
 func TestSampledWrapper(t *testing.T) {
 	src := rng.New(14)
-	s := &Sampled{Inner: &EM{Src: src.Split()}, Src: src.Split(), Rate: 0.1}
+	src.Split() // once seeded the inner EM, which never drew from it
+	s := seeded{&Sampled{Inner: &EM{}, Rate: 0.1}, src.Split()}
 	if s.Name() != "em-s" {
 		t.Errorf("Name = %q, want em-s", s.Name())
 	}
@@ -306,8 +328,9 @@ func TestSampledWrapper(t *testing.T) {
 	if avg := avgRankError(t, s, data, 0, 1000, 0.1, 20); avg > 0.1 {
 		t.Errorf("sampled EM rank error = %v, want < 0.1", avg)
 	}
-	bad := &Sampled{Inner: &EM{Src: src.Split()}, Src: src.Split(), Rate: 0}
-	if _, err := bad.Median(data, 0, 1000, 0.1); err == nil {
+	src.Split() // likewise
+	bad := seeded{&Sampled{Inner: &EM{}, Rate: 0}, src.Split()}
+	if _, err := bad.median(data, 0, 1000, 0.1); err == nil {
 		t.Error("rate 0 should error")
 	}
 }
@@ -347,10 +370,10 @@ func TestLemma6(t *testing.T) {
 	const trials = 400
 	const eps = 0.5
 
-	em := &EM{Src: src.Split()}
+	em := seeded{&EM{}, src.Split()}
 	hits := 0
 	for i := 0; i < trials; i++ {
-		m, err := em.Median(data, 0, 1000, eps)
+		m, err := em.median(data, 0, 1000, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +385,7 @@ func TestLemma6(t *testing.T) {
 		t.Errorf("EM good-split probability %v < Lemma 6 bound 1/6", frac)
 	}
 
-	ss := &SS{Src: src.Split(), Delta: 1e-4}
+	ss := seeded{&SS{Delta: 1e-4}, src.Split()}
 	// Check the ξn ≥ 4.03 precondition of Lemma 6(i).
 	xi := eps / (4 * (1 + math.Log(2/1e-4)))
 	if xi*float64(n) < 4.03 {
@@ -370,7 +393,7 @@ func TestLemma6(t *testing.T) {
 	}
 	hits = 0
 	for i := 0; i < trials; i++ {
-		m, err := ss.Median(data, 0, 1000, eps)
+		m, err := ss.median(data, 0, 1000, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,8 +419,8 @@ func TestFinderRelativeQuality(t *testing.T) {
 		data[i] = 1000 * u * u * u // cubed: mass concentrated near 0
 	}
 	const eps = 0.5
-	em := avgRankError(t, &EM{Src: src.Split()}, data, 0, 1000, eps, 30)
-	nm := avgRankError(t, &NM{Src: src.Split()}, data, 0, 1000, eps, 30)
+	em := avgRankError(t, seeded{&EM{}, src.Split()}, data, 0, 1000, eps, 30)
+	nm := avgRankError(t, seeded{&NM{}, src.Split()}, data, 0, 1000, eps, 30)
 	if em >= nm {
 		t.Errorf("EM (%v) should beat NM (%v) on skewed data", em, nm)
 	}
@@ -405,11 +428,11 @@ func TestFinderRelativeQuality(t *testing.T) {
 
 func BenchmarkEMMedian(b *testing.B) {
 	src := rng.New(100)
-	em := &EM{Src: src}
+	em := seeded{&EM{}, src}
 	data := uniformData(1<<16, 0, 1<<26)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := em.Median(data, 0, 1<<26, 0.01); err != nil {
+		if _, err := em.median(data, 0, 1<<26, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -417,11 +440,11 @@ func BenchmarkEMMedian(b *testing.B) {
 
 func BenchmarkSSMedian(b *testing.B) {
 	src := rng.New(101)
-	ss := &SS{Src: src, Delta: 1e-4}
+	ss := seeded{&SS{Delta: 1e-4}, src}
 	data := uniformData(1<<16, 0, 1<<26)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ss.Median(data, 0, 1<<26, 0.01); err != nil {
+		if _, err := ss.median(data, 0, 1<<26, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,43 +6,15 @@ import (
 	"psd/internal/rng"
 )
 
-// streamFinders enumerates the built-in finders through their hot-path
-// interface. Every one must satisfy StreamFinder or parallel builds would
-// silently degrade to sequential.
-func streamFinders() map[string]StreamFinder {
-	return map[string]StreamFinder{
+// builtinFinders enumerates the built-in finders.
+func builtinFinders() map[string]Finder {
+	return map[string]Finder{
 		"exact": Exact{},
 		"em":    &EM{},
 		"ss":    &SS{Delta: 1e-4},
 		"nm":    &NM{},
 		"cell":  &Cell{Cells: 64},
 		"em-s":  &Sampled{Inner: &EM{}, Rate: 0.5},
-	}
-}
-
-type legacyOnly struct{ Exact }
-
-// Median-only shadow: legacyOnly deliberately hides MedianAt.
-func (legacyOnly) MedianAt() {}
-
-func TestStreamable(t *testing.T) {
-	for name, f := range streamFinders() {
-		if !Streamable(f) {
-			t.Errorf("%s: built-in finder should be streamable", name)
-		}
-	}
-	var legacy Finder = legacyOnly{}
-	if _, ok := legacy.(StreamFinder); ok {
-		t.Fatal("test fixture unexpectedly implements StreamFinder")
-	}
-	if Streamable(legacy) {
-		t.Error("legacy finder reported streamable")
-	}
-	if Streamable(&Sampled{Inner: legacy, Rate: 0.5}) {
-		t.Error("Sampled around a legacy inner must not be streamable")
-	}
-	if !Streamable(&Sampled{Inner: &Sampled{Inner: &EM{}, Rate: 0.5}, Rate: 0.5}) {
-		t.Error("nested streamable Sampled should be streamable")
 	}
 }
 
@@ -54,7 +26,7 @@ func TestMedianAtStreamDeterminism(t *testing.T) {
 	for i := range vals {
 		vals[i] = seedSrc.UniformIn(0, 100)
 	}
-	for name, f := range streamFinders() {
+	for name, f := range builtinFinders() {
 		var sc1, sc2 Scratch
 		in1 := append([]float64(nil), vals...)
 		a, err := f.MedianAt(rng.At(99, 7, 1), &sc1, in1, 0, 100, 0.5)
@@ -88,7 +60,7 @@ func TestMedianAtAllocationFree(t *testing.T) {
 		vals[i] = seedSrc.UniformIn(0, 1)
 	}
 	in := make([]float64, len(vals))
-	for name, f := range streamFinders() {
+	for name, f := range builtinFinders() {
 		var sc Scratch
 		call := func() {
 			copy(in, vals)
@@ -99,22 +71,6 @@ func TestMedianAtAllocationFree(t *testing.T) {
 		call() // warm the scratch buffers
 		if avg := testing.AllocsPerRun(50, call); avg != 0 {
 			t.Errorf("%s: %v allocs/op on a warm scratch, want 0", name, avg)
-		}
-	}
-}
-
-func BenchmarkEMMedianLegacy(b *testing.B) {
-	vals := make([]float64, 4096)
-	src := rng.New(7)
-	for i := range vals {
-		vals[i] = src.UniformIn(0, 1)
-	}
-	e := &EM{Src: rng.New(8)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Median(vals, 0, 1, 0.3); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

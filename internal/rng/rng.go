@@ -1,6 +1,6 @@
 // Package rng is the randomness substrate for the library's differential
 // privacy mechanisms. It provides the distributions the paper needs —
-// Laplace, exponential, two-sided geometric, Bernoulli — behind a small
+// Laplace, exponential, Bernoulli — behind a small
 // Source type that is explicitly seeded so every experiment is reproducible.
 //
 // Source is a counter-based splitmix64 generator (a Weyl sequence pushed
@@ -173,34 +173,6 @@ func (s *Source) Gaussian(mean, stddev float64) float64 {
 	u2 := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u1))
 	return mean + stddev*r*math.Cos(2*math.Pi*u2)
-}
-
-// TwoSidedGeometric returns a variate from the two-sided geometric
-// distribution with parameter alpha ∈ (0, 1):
-//
-//	Pr[X = k] = (1-alpha)/(1+alpha) · alpha^|k|,  k ∈ ℤ.
-//
-// With alpha = exp(-ε) this is the geometric mechanism of Ghosh, Roughgarden
-// and Sundararajan [10], the utility-optimal integer-valued ε-DP noise for
-// counts. It panics unless 0 < alpha < 1.
-func (s *Source) TwoSidedGeometric(alpha float64) int64 {
-	if alpha <= 0 || alpha >= 1 {
-		panic("rng: two-sided geometric parameter must be in (0,1)")
-	}
-	// Sample magnitude |X| and a sign; |X| = 0 with prob (1-alpha)/(1+alpha),
-	// otherwise |X| ~ Geometric(1-alpha) over {1, 2, ...} split evenly by sign.
-	u := s.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass is split evenly between the positive and negative tails,
-	// each tail k = 1, 2, ... carrying weight p0·alpha^k.
-	mag := int64(1) + int64(math.Floor(s.Exponential(1)/(-math.Log(alpha))))
-	if s.Float64() < 0.5 {
-		return -mag
-	}
-	return mag
 }
 
 // Shuffle randomly permutes the first n elements using swap (Fisher–Yates).

@@ -140,43 +140,6 @@ func TestGaussianMoments(t *testing.T) {
 	}
 }
 
-func TestTwoSidedGeometric(t *testing.T) {
-	s := New(7)
-	alpha := math.Exp(-0.5) // geometric mechanism at eps = 0.5
-	const n = 200000
-	var sum float64
-	zero := 0
-	for i := 0; i < n; i++ {
-		k := s.TwoSidedGeometric(alpha)
-		sum += float64(k)
-		if k == 0 {
-			zero++
-		}
-	}
-	mean := sum / n
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("two-sided geometric mean = %v, want ~0", mean)
-	}
-	p0 := (1 - alpha) / (1 + alpha)
-	frac := float64(zero) / n
-	if math.Abs(frac-p0) > 0.01 {
-		t.Errorf("Pr[X=0] = %v, want ~%v", frac, p0)
-	}
-}
-
-func TestTwoSidedGeometricPanics(t *testing.T) {
-	for _, bad := range []float64{0, 1, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("alpha=%v should panic", bad)
-				}
-			}()
-			New(1).TwoSidedGeometric(bad)
-		}()
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	s := New(8)
 	if s.Bernoulli(0) {

@@ -46,7 +46,6 @@ import (
 	"psd/internal/core"
 	"psd/internal/geom"
 	"psd/internal/median"
-	"psd/internal/rng"
 )
 
 // Point is a location in the plane.
@@ -326,14 +325,9 @@ func Build(points []Point, domain Rect, opts Options) (*Tree, error) {
 	case ExponentialMedian:
 		// core's default.
 	case SmoothMedian:
-		cfg.Median = &median.SS{Src: rng.New(opts.Seed ^ 0x7373), Delta: 1e-4}
+		cfg.Median = &median.SS{Delta: 1e-4}
 	case SampledExponentialMedian:
-		src := rng.New(opts.Seed ^ 0x656d73)
-		cfg.Median = &median.Sampled{
-			Inner: &median.EM{Src: src.Split()},
-			Src:   src.Split(),
-			Rate:  0.01,
-		}
+		cfg.Median = &median.Sampled{Inner: &median.EM{}, Rate: 0.01}
 	default:
 		return nil, fmt.Errorf("psd: unknown median method %d", opts.Median)
 	}
