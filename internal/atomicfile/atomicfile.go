@@ -7,6 +7,13 @@
 // complete file or the new complete file, never a prefix; a crash at any
 // point leaves at worst a hidden temp file behind, which directory globs for
 // published artifacts do not match.
+//
+// A large file's writeback starts while it is still being written: every
+// 8 MiB, Write asks the kernel to begin writing the bytes behind it to
+// disk (sync_file_range(SYNC_FILE_RANGE_WRITE) on Linux; nothing
+// elsewhere). That request is only a head start, never a durability step:
+// the file fsync, the rename and the directory fsync are exactly as above,
+// and the closing fsync then mostly waits for the tail.
 package atomicfile
 
 import (
@@ -56,11 +63,11 @@ func SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// writeTo fills the temp file: buffered write, flush, fsync, then the mode
-// fix-up (CreateTemp defaults to 0600; published artifacts are world-
-// readable like any os.Create output).
+// writeTo fills the temp file: buffered write (starting writeback as it
+// goes), flush, fsync, then the mode fix-up (CreateTemp defaults to 0600;
+// published artifacts are world-readable like any os.Create output).
 func writeTo(tmp *os.File, write func(io.Writer) error) (int64, error) {
-	bw := bufio.NewWriter(tmp)
+	bw := bufio.NewWriter(&writeback{f: tmp})
 	if err := write(bw); err != nil {
 		return 0, err
 	}
@@ -78,4 +85,26 @@ func writeTo(tmp *os.File, write func(io.Writer) error) (int64, error) {
 		return 0, err
 	}
 	return info.Size(), nil
+}
+
+// writebackEvery is how many written bytes Write lets accumulate before it
+// starts their writeback.
+const writebackEvery = 8 << 20
+
+// writeback passes writes through to f and starts the writeback of every
+// writebackEvery bytes written.
+type writeback struct {
+	f       *os.File
+	written int64 // bytes written so far
+	started int64 // bytes whose writeback has been started
+}
+
+func (w *writeback) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.written += int64(n)
+	if w.written-w.started >= writebackEvery {
+		startWriteback(w.f, w.started, w.written-w.started)
+		w.started = w.written
+	}
+	return n, err
 }

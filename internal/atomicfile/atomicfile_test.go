@@ -109,3 +109,57 @@ func TestWriteTempInvisibleToGlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteLarge writes a file across several writeback steps, in pieces
+// that straddle them: the count and every byte must be exact.
+func TestWriteLarge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.bin")
+	data := make([]byte, 2*writebackEvery+12345)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	n, err := Write(path, func(w io.Writer) error {
+		for rest := data; len(rest) > 0; {
+			k := min(len(rest), 1<<20+7)
+			if _, err := w.Write(rest[:k]); err != nil {
+				return err
+			}
+			rest = rest[k:]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(data)) {
+		t.Fatalf("reported %d bytes, want %d", n, len(data))
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(data) {
+		t.Fatal("content mismatch")
+	}
+}
+
+// TestWritebackSteps pins where writeback starts: each time another
+// writebackEvery bytes have been written, for exactly the bytes behind
+// the last start.
+func TestWritebackSteps(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := &writeback{f: f}
+	piece := make([]byte, 3<<20)
+	for _, want := range []int64{0, 0, 9 << 20, 9 << 20, 9 << 20, 18 << 20} {
+		if _, err := w.Write(piece); err != nil {
+			t.Fatal(err)
+		}
+		if w.started != want {
+			t.Fatalf("after %d bytes, writeback started for %d, want %d", w.written, w.started, want)
+		}
+	}
+}

@@ -9,7 +9,8 @@
 // blocks to one 128-bit residue with the same remainder modulo the
 // polynomial; hash/crc64's table then finishes that residue and the
 // shorter tail. Everywhere else, and for buffers shorter than one block,
-// Update is hash/crc64.Update.
+// Update is hash/crc64.Update. Combine joins the CRCs of two adjacent
+// buffers, so one buffer can be checksummed in parts on several cores.
 package checksum
 
 import (
@@ -23,7 +24,8 @@ import (
 // Table is a CRC-64 polynomial's lookup table together with the kernel's
 // fold constants for that polynomial.
 type Table struct {
-	tab *crc64.Table
+	tab  *crc64.Table
+	poly uint64 // reversed notation, as MakeTable took it
 	// fold holds x^575, x^511, x^191 and x^127 mod P in the reflected bit
 	// order: the first pair folds a 128-bit lane forward 512 bits (four
 	// lanes of 64-byte blocks), the second folds one lane into the next.
@@ -52,7 +54,7 @@ var Fingerprint = MakeTable(crc64.ISO)
 // MakeTable returns the Table for poly, given in hash/crc64's reversed
 // notation (crc64.ECMA, crc64.ISO).
 func MakeTable(poly uint64) *Table {
-	t := &Table{tab: crc64.MakeTable(poly)}
+	t := &Table{tab: crc64.MakeTable(poly), poly: poly}
 	for i, n := range [4]int{575, 511, 191, 127} {
 		t.fold[i] = xPowMod(n, poly)
 	}
@@ -74,6 +76,44 @@ func xPowMod(n int, poly uint64) uint64 {
 		}
 	}
 	return v
+}
+
+// mulMod returns a·b mod P in xPowMod's reflected notation: the terms of
+// a, from x^0 (bit 63) up, select the multiples b·x^i, which b steps
+// through one right shift (one multiplication by x) at a time.
+func mulMod(a, b, poly uint64) uint64 {
+	var p uint64
+	for m := uint64(1) << 63; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ poly
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// Combine returns the CRC of the concatenation A‖B given crcA, the CRC of
+// A, and crcB, the CRC of B, both taken from a zero initial CRC (as
+// Checksum takes them), and lenB, the length of B in bytes. Feeding B's
+// bytes to a CRC register multiplies what it held by x^(8·lenB) modulo P
+// and adds a term that depends on B alone; the register's pre- and
+// post-inversion cancel out of that sum, so the CRC of A‖B is
+// crcA·x^(8·lenB) mod P xor crcB. The power is taken by square-and-
+// multiply, so the cost is logarithmic in lenB and nothing is allocated:
+// two halves of a buffer can be checksummed on two cores and joined.
+func Combine(crcA, crcB uint64, lenB int64, tab *Table) uint64 {
+	shift := uint64(1) << 63 // x^0
+	for sq := xPowMod(8, tab.poly); lenB > 0; lenB >>= 1 {
+		if lenB&1 != 0 {
+			shift = mulMod(shift, sq, tab.poly)
+		}
+		sq = mulMod(sq, sq, tab.poly)
+	}
+	return mulMod(crcA, shift, tab.poly) ^ crcB
 }
 
 // kernelBlock is the kernel's unit: four 16-byte lanes.

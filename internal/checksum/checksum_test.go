@@ -111,6 +111,47 @@ func FuzzUpdate(f *testing.F) {
 	})
 }
 
+// TestCombine checks Combine against hash/crc64 over A‖B for B lengths
+// around the kernel's 64-byte block and past a mebibyte.
+func TestCombine(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	a := make([]byte, 1000)
+	b := make([]byte, 1<<20+3)
+	r.Read(a)
+	r.Read(b)
+	for _, pc := range polys {
+		ref := crc64.MakeTable(pc.poly)
+		for _, lenA := range []int{0, 1, 1000} {
+			for _, lenB := range []int{0, 1, 63, 64, 65, 1<<20 + 3} {
+				A, B := a[:lenA], b[:lenB]
+				want := crc64.Update(crc64.Checksum(A, ref), ref, B)
+				if got := Combine(Checksum(A, pc.tab), Checksum(B, pc.tab), int64(lenB), pc.tab); got != want {
+					t.Errorf("%s: Combine over len(A)=%d, len(B)=%d = %#x, hash/crc64 %#x", pc.name, lenA, lenB, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCombine splits data at a fuzzed point and joins the halves' CRCs.
+func FuzzCombine(f *testing.F) {
+	f.Add([]byte("PSD3END"), 3)
+	f.Add(make([]byte, 200), 70)
+	f.Add(make([]byte, 129), 0)
+	f.Fuzz(func(t *testing.T, data []byte, split int) {
+		if split < 0 || split > len(data) {
+			split = len(data) / 2
+		}
+		a, b := data[:split], data[split:]
+		for _, pc := range polys {
+			want := crc64.Checksum(data, crc64.MakeTable(pc.poly))
+			if got := Combine(Checksum(a, pc.tab), Checksum(b, pc.tab), int64(len(b)), pc.tab); got != want {
+				t.Fatalf("%s: Combine at split %d of %d = %#x, hash/crc64 %#x", pc.name, split, len(data), got, want)
+			}
+		}
+	})
+}
+
 var sink uint64
 
 func BenchmarkUpdate(b *testing.B) {

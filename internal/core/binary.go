@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 )
@@ -69,87 +68,6 @@ func SniffBinary(prefix []byte) bool {
 	}
 	m := [4]byte(prefix[:4])
 	return m == binaryMagic || m == v3Magic
-}
-
-// artifactWriter batches encoded bytes into a fixed chunk before handing
-// them to the destination, counting exactly the bytes the destination
-// accepted. The v3 encoder writes through it instead of a bufio.Writer
-// so the (n, err) it returns has one unambiguous meaning: n is what
-// actually reached w — on a mid-stream failure included — never inflated by
-// bytes a buffer accepted but never delivered. When crc is non-nil every
-// written byte also feeds it (the v3 body checksum).
-type artifactWriter struct {
-	w   io.Writer
-	crc hash.Hash64
-	buf []byte
-	n   int64 // bytes the destination accepted
-	err error // first destination error; later writes are dropped
-}
-
-// artifactChunk is the destination write size: large enough that per-value
-// encoding never reaches the destination as 8-byte writes.
-const artifactChunk = 64 << 10
-
-func newArtifactWriter(w io.Writer, crc hash.Hash64) *artifactWriter {
-	return &artifactWriter{w: w, crc: crc, buf: make([]byte, 0, artifactChunk)}
-}
-
-// flush delivers the buffered chunk, folding short writes into errors.
-func (aw *artifactWriter) flush() {
-	if aw.err != nil || len(aw.buf) == 0 {
-		aw.buf = aw.buf[:0]
-		return
-	}
-	n, err := aw.w.Write(aw.buf)
-	if n > len(aw.buf) {
-		n = len(aw.buf)
-	}
-	aw.n += int64(n)
-	if err == nil && n < len(aw.buf) {
-		err = io.ErrShortWrite
-	}
-	aw.err = err
-	aw.buf = aw.buf[:0]
-}
-
-// write buffers p, flushing full chunks as it goes.
-func (aw *artifactWriter) write(p []byte) {
-	if aw.err != nil {
-		return
-	}
-	if aw.crc != nil {
-		aw.crc.Write(p) // hash.Hash.Write never errors
-	}
-	for len(p) > 0 {
-		free := cap(aw.buf) - len(aw.buf)
-		if free == 0 {
-			aw.flush()
-			if aw.err != nil {
-				return
-			}
-			free = cap(aw.buf)
-		}
-		k := min(free, len(p))
-		aw.buf = append(aw.buf, p[:k]...)
-		p = p[k:]
-	}
-}
-
-// u64 writes one little-endian uint64.
-func (aw *artifactWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	aw.write(b[:])
-}
-
-// zeros writes n zero bytes (section padding).
-func (aw *artifactWriter) zeros(n int) {
-	var z [64]byte
-	for n > 0 {
-		k := min(n, len(z))
-		aw.write(z[:k])
-		n -= k
-	}
 }
 
 // ReadBinary parses and validates a binary release — format v2 or v3,

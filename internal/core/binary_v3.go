@@ -9,9 +9,12 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"psd/internal/checksum"
 	"psd/internal/geom"
+	"psd/internal/par"
+	"psd/internal/tree"
 )
 
 // Release format v3 is the record-major, mmap-ready sibling of format v2:
@@ -57,7 +60,10 @@ import (
 // format), and (*Slab).Verify runs the deferred full-body pass — CRC plus
 // the per-node validation the streaming decoder does inline — for callers
 // (the serving registry) that want corruption surfaced at load time rather
-// than as wrong answers.
+// than as wrong answers. Because the footer is a plain CRC of the bytes
+// before it, both ends can split the record section: the writer encodes
+// chunks on several goroutines and checksums them in order, and Verify
+// checksums two halves at once and joins them with checksum.Combine.
 
 // v3Magic opens every format-v3 artifact.
 var v3Magic = [4]byte{'P', 'S', 'D', '3'}
@@ -102,8 +108,8 @@ func v3LayoutFor(nodes int) v3Layout {
 }
 
 // v3Source is what the one v3 writer streams: the header fields, the node
-// records in breadth-first chunks, and the two bitsets. A slab and a built
-// PSD are its two sources; only where the records come from differs.
+// records and the two bitsets. A slab and a built PSD are its two sources;
+// only where the records come from differs.
 type v3Source struct {
 	kind    Kind
 	height  int
@@ -112,13 +118,22 @@ type v3Source struct {
 	nodes   int
 	usable  bitset
 	pruned  bitset
-	// records returns the [lox,loy,hix,hiy,est] records of nodes [lo, hi):
-	// a view of the source's own storage, or buf filled in.
-	records func(lo, hi int, buf [][5]float64) [][5]float64
+	// encode writes the 40-byte records of nodes [lo, hi) into dst, the
+	// count slot of every node not in usable as zero bits, so the section
+	// is exactly what a decoded slab holds (and what a mapping aliases).
+	// Calls for disjoint ranges may run concurrently.
+	encode func(dst []byte, lo, hi int)
 }
 
-// v3ChunkNodes is the number of records the writer encodes per chunk.
-const v3ChunkNodes = 256
+// putRecord encodes one [lox,loy,hix,hiy,est] record into b (40 bytes).
+func putRecord(b []byte, lox, loy, hix, hiy, est float64) {
+	b = b[:v3RecordSize]
+	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(lox))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(loy))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(hix))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(hiy))
+	binary.LittleEndian.PutUint64(b[32:], math.Float64bits(est))
+}
 
 // WriteBinaryV3 serializes the slab in format v3, returning the number of
 // bytes that reached w.
@@ -127,8 +142,17 @@ func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 	return writeV3(w, &v3Source{
 		kind: s.kind, height: s.height, domain: s.domain, epsilon: s.epsilon,
 		nodes: s.Len(), usable: s.usable, pruned: s.pruned,
-		records: func(lo, hi int, _ [][5]float64) [][5]float64 { return s.nodes[lo:hi] },
-	})
+		encode: func(dst []byte, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				nd := &s.nodes[i]
+				est := 0.0
+				if s.usable.get(i) {
+					est = nd[4]
+				}
+				putRecord(dst[(i-lo)*v3RecordSize:], nd[0], nd[1], nd[2], nd[3], est)
+			}
+		},
+	}, par.Workers(0))
 }
 
 // WriteBinaryV3 serializes the PSD's release in format v3 straight from
@@ -138,17 +162,24 @@ func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 // domain, finite and ordered rects, finite released counts), all before
 // the first byte is written.
 func (p *PSD) WriteBinaryV3(w io.Writer) (int64, error) {
-	src, err := p.v3Source()
+	workers := par.Workers(0)
+	src, err := p.v3Source(workers)
 	if err != nil {
 		return 0, err
 	}
-	return writeV3(w, src)
+	return writeV3(w, src, workers)
 }
 
+// v3ValidateGrain is the bitset words (64 nodes each) one validation
+// worker takes at least: trees under 64Ki nodes are checked inline.
+const v3ValidateGrain = 1024
+
 // v3Source validates the PSD's release and describes it for writeV3: the
-// bitsets are built here, the records are read from the arena chunk by
-// chunk as the writer asks for them.
-func (p *PSD) v3Source() (*v3Source, error) {
+// bitsets are built here, on up to workers goroutines over ranges aligned
+// to bitset words (so no two write one word); the records are encoded
+// from the arena as the writer asks for them. Of several bad nodes the
+// lowest-indexed is reported, as a sequential scan would.
+func (p *PSD) v3Source(workers int) (*v3Source, error) {
 	ar := p.arena
 	n, err := checkShape(ar.Fanout(), ar.Height())
 	if err != nil {
@@ -165,40 +196,120 @@ func (p *PSD) v3Source() (*v3Source, error) {
 		kind: p.kind, height: ar.Height(), domain: p.domain, epsilon: eps,
 		nodes: n, usable: newBitset(n), pruned: newBitset(n),
 	}
-	for i := range ar.Nodes {
-		nd := &ar.Nodes[i]
-		if !finiteRect(flattenRect(nd.Rect)) {
-			return nil, fmt.Errorf("core: release node %d has non-finite rect", i)
-		}
-		if !nd.Rect.Valid() {
-			return nil, fmt.Errorf("core: release node %d has inverted rect", i)
-		}
-		if nd.Published || p.postProcessed {
-			if !finite(nd.Est) {
-				return nil, fmt.Errorf("core: release node %d has non-finite count", i)
+	var mu sync.Mutex
+	bad, badErr := n, error(nil)
+	released := p.postProcessed
+	par.For(workers, 0, len(src.usable), v3ValidateGrain, func(wlo, whi int) {
+		for wi := wlo; wi < whi; wi++ {
+			var use, prn uint64
+			nodes := ar.Nodes[wi*64 : min(wi*64+64, n)]
+			for b := range nodes {
+				nd := &nodes[b]
+				pub := nd.Published || released
+				est := 0.0
+				if pub {
+					est = nd.Est
+				}
+				// One branch for the common case: x-x is 0 exactly when x
+				// is finite, so the sum is 0 when all five are.
+				r := &nd.Rect
+				if r.Lo.X-r.Lo.X+r.Lo.Y-r.Lo.Y+r.Hi.X-r.Hi.X+r.Hi.Y-r.Hi.Y+est-est != 0 || !r.Valid() {
+					err := v3NodeErr(wi*64+b, nd, pub)
+					mu.Lock()
+					if wi*64+b < bad {
+						bad, badErr = wi*64+b, err
+					}
+					mu.Unlock()
+					return
+				}
+				if pub {
+					use |= 1 << uint(b)
+				}
+				if nd.Pruned {
+					prn |= 1 << uint(b)
+				}
 			}
-			src.usable.set(i)
+			src.usable[wi], src.pruned[wi] = use, prn
 		}
-		if nd.Pruned {
-			src.pruned.set(i)
-		}
+	})
+	if badErr != nil {
+		return nil, badErr
 	}
-	src.records = func(lo, hi int, buf [][5]float64) [][5]float64 {
-		buf = buf[:hi-lo]
-		for j := range buf {
-			r := &ar.Nodes[lo+j].Rect
-			buf[j] = [5]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y, ar.Nodes[lo+j].Est}
+	src.encode = func(dst []byte, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nd := &ar.Nodes[i]
+			est := 0.0
+			if src.usable.get(i) {
+				est = nd.Est
+			}
+			putRecord(dst[(i-lo)*v3RecordSize:], nd.Rect.Lo.X, nd.Rect.Lo.Y, nd.Rect.Hi.X, nd.Rect.Hi.Y, est)
 		}
-		return buf
 	}
 	return src, nil
 }
 
+// v3NodeErr names what is wrong with arena node i, which failed the
+// validation's combined check; pub is whether its count is released.
+func v3NodeErr(i int, nd *tree.Node, pub bool) error {
+	switch {
+	case !finiteRect(flattenRect(nd.Rect)):
+		return fmt.Errorf("core: release node %d has non-finite rect", i)
+	case !nd.Rect.Valid():
+		return fmt.Errorf("core: release node %d has inverted rect", i)
+	case pub && !finite(nd.Est):
+		return fmt.Errorf("core: release node %d has non-finite count", i)
+	}
+	return nil
+}
+
+// v3ChunkNodes is the number of records in one chunk of the writer:
+// 1638 records are 65520 bytes, a chunk that stays in cache from the
+// encoder to the checksum and the destination write.
+const v3ChunkNodes = 1638
+
+// v3ChunkBytes is a chunk buffer's size.
+const v3ChunkBytes = v3ChunkNodes * v3RecordSize
+
+// v3Out delivers the artifact to its destination, checksumming every byte
+// it is handed through put and counting exactly the bytes the destination
+// accepted: n is what actually reached w — on a mid-stream failure
+// included. After the first failure nothing more is handed to w.
+type v3Out struct {
+	w   io.Writer
+	crc uint64 // CRC-64/ECMA of the bytes put so far
+	n   int64  // bytes the destination accepted
+	err error  // first destination error, short writes included
+}
+
+// put checksums p and writes it.
+func (o *v3Out) put(p []byte) {
+	if o.err != nil {
+		return
+	}
+	o.crc = checksum.Update(o.crc, checksum.ECMA, p)
+	o.emit(p)
+}
+
+// emit writes p without checksumming it (the footer).
+func (o *v3Out) emit(p []byte) {
+	if o.err != nil || len(p) == 0 {
+		return
+	}
+	n, err := o.w.Write(p)
+	n = min(max(n, 0), len(p))
+	o.n += int64(n)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	o.err = err
+}
+
 // writeV3 is the format-v3 writer, returning the number of bytes that
-// reached w.
-func writeV3(w io.Writer, src *v3Source) (int64, error) {
-	crc := checksum.New(checksum.ECMA)
-	aw := newArtifactWriter(w, crc)
+// reached w. With workers > 1 and at least three chunks of records, up to
+// workers goroutines encode chunks into a ring of buffers while the caller
+// checksums and writes them in order; the bytes are the same either way.
+func writeV3(w io.Writer, src *v3Source, workers int) (int64, error) {
+	o := &v3Out{w: w}
 	n := src.nodes
 	lay := v3LayoutFor(n)
 	numPruned := 0
@@ -219,48 +330,117 @@ func writeV3(w io.Writer, src *v3Source) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(src.domain.Hi.Y))
 	binary.LittleEndian.PutUint32(hdr[48:], uint32(n))
 	binary.LittleEndian.PutUint32(hdr[52:], uint32(numPruned))
-	aw.write(hdr[:])
+	o.put(hdr[:])
 
-	// Records go out record-major a chunk at a time, count slots of
-	// unpublished nodes forced to zero so the section is exactly what a
-	// decoded slab holds (and what a mapping aliases).
-	var recBuf [v3ChunkNodes][5]float64
-	var b [v3ChunkNodes * v3RecordSize]byte
-	for lo := 0; lo < n; lo += v3ChunkNodes {
-		recs := src.records(lo, min(lo+v3ChunkNodes, n), recBuf[:])
-		off := 0
-		for j := range recs {
-			nd := &recs[j]
-			for c := 0; c < 5; c++ {
-				v := nd[c]
-				if c == 4 && !src.usable.get(lo+j) {
-					v = 0
-				}
-				binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
-				off += 8
-			}
+	buf := o.records(src, workers)
+
+	// The sections after the records (padding, the two bitsets, padding)
+	// are staged through one chunk buffer.
+	b := buf[:0]
+	stage := func(k int) {
+		if len(b)+k > cap(b) {
+			o.put(b)
+			b = b[:0]
 		}
-		aw.write(b[:off])
 	}
-	aw.zeros(int(lay.usableOff - lay.recordsEnd))
+	zeros := func(k int) {
+		stage(k) // k < 64: padding never outgrows a chunk
+		b = append(b, make([]byte, k)...)
+	}
+	zeros(int(lay.usableOff - lay.recordsEnd))
 	for _, word := range src.usable {
-		aw.u64(word)
+		stage(8)
+		b = binary.LittleEndian.AppendUint64(b, word)
 	}
-	aw.zeros(int(lay.prunedOff - (lay.usableOff + lay.bitsetLen)))
+	zeros(int(lay.prunedOff - (lay.usableOff + lay.bitsetLen)))
 	for _, word := range src.pruned {
-		aw.u64(word)
+		stage(8)
+		b = binary.LittleEndian.AppendUint64(b, word)
 	}
-	aw.zeros(int(lay.footerOff - (lay.prunedOff + lay.bitsetLen)))
+	zeros(int(lay.footerOff - (lay.prunedOff + lay.bitsetLen)))
+	o.put(b)
 
-	// The checksum covers everything before the footer; the crc tee has
-	// seen exactly those bytes, so detach it before the footer goes out.
+	// The checksum covers everything before the footer.
 	var ft [v3FooterSize]byte
-	binary.LittleEndian.PutUint64(ft[0:8], crc.Sum64())
+	binary.LittleEndian.PutUint64(ft[0:8], o.crc)
 	copy(ft[8:], v3FooterMagic[:])
-	aw.crc = nil
-	aw.write(ft[:])
-	aw.flush()
-	return aw.n, aw.err
+	o.emit(ft[:])
+	return o.n, o.err
+}
+
+// v3Slot is one buffer of the writer's ring; done signals that the chunk
+// handed out for it is encoded into buf.
+type v3Slot struct {
+	buf  []byte
+	done chan struct{}
+}
+
+// records writes the record section through o and returns a free chunk
+// buffer. Chunk k is encoded into slot k mod len(ring); the caller hands
+// out chunk k+len(ring) only once it has written chunk k, so a slot is
+// never encoded into while its bytes are being written, and each slot has
+// at most one result pending. On a write failure the caller stops handing
+// out chunks, the workers skip what is queued, and every worker has
+// returned before records does.
+func (o *v3Out) records(src *v3Source, workers int) []byte {
+	n := src.nodes
+	chunks := (n + v3ChunkNodes - 1) / v3ChunkNodes
+	span := func(k int) (lo, hi int) {
+		lo = k * v3ChunkNodes
+		return lo, min(lo+v3ChunkNodes, n)
+	}
+	workers = min(workers, chunks-1)
+	if workers < 2 {
+		buf := make([]byte, v3ChunkBytes)
+		for k := 0; k < chunks && o.err == nil; k++ {
+			lo, hi := span(k)
+			src.encode(buf, lo, hi)
+			o.put(buf[:(hi-lo)*v3RecordSize])
+		}
+		return buf
+	}
+
+	ring := make([]v3Slot, workers+2)
+	mem := make([]byte, len(ring)*v3ChunkBytes)
+	for i := range ring {
+		ring[i] = v3Slot{buf: mem[i*v3ChunkBytes : (i+1)*v3ChunkBytes], done: make(chan struct{}, 1)}
+	}
+	jobs := make(chan int, len(ring))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				slot := &ring[k%len(ring)]
+				if !stop.Load() {
+					lo, hi := span(k)
+					src.encode(slot.buf, lo, hi)
+				}
+				slot.done <- struct{}{}
+			}
+		}()
+	}
+	for k := range min(len(ring), chunks) {
+		jobs <- k
+	}
+	for k := range chunks {
+		slot := &ring[k%len(ring)]
+		<-slot.done
+		lo, hi := span(k)
+		o.put(slot.buf[:(hi-lo)*v3RecordSize])
+		if o.err != nil {
+			break
+		}
+		if next := k + len(ring); next < chunks {
+			jobs <- next
+		}
+	}
+	stop.Store(true)
+	close(jobs)
+	wg.Wait()
+	return ring[0].buf
 }
 
 // WriteBinaryV3 serializes the release in format v3 after validating it.
@@ -568,10 +748,25 @@ func slabFromMapping(m *slabMapping) (*Slab, error) {
 // checks the streaming decoder performs inline — and, in the same pass,
 // the artifact's fingerprint (the checksum.Fingerprint CRC of every byte
 // of the file; meaningful when err is nil). It reads every page of the
-// mapping once, sequentially (which is also an effective prefault before
-// serving), and allocates nothing. On a slab that was decoded rather than
-// mapped the contract already held at construction, so Verify is a no-op.
+// mapping once (which is also an effective prefault before serving) and
+// allocates nothing. On a slab that was decoded rather than mapped the
+// contract already held at construction, so Verify is a no-op.
+//
+// On more than one core, a record section of at least verifySplitNodes
+// records is verified in two halves at once: the second half on
+// verifyHelper, the first on the caller; the halves' CRCs are joined with
+// checksum.Combine. The findings, their precedence and the fingerprint
+// are those of one sequential pass.
 func (s *Slab) Verify() (fingerprint uint64, err error) {
+	return s.verify(par.Workers(0))
+}
+
+// verifySplitNodes is the record count from which Verify splits its pass
+// in two: 32768 records are 1.3 MB, far more work than the hand-off.
+const verifySplitNodes = 1 << 15
+
+// verify is Verify on up to two goroutines (one when workers < 2).
+func (s *Slab) verify(workers int) (uint64, error) {
 	s.ensureOpen()
 	if s.mapped == nil {
 		return 0, nil
@@ -579,23 +774,30 @@ func (s *Slab) Verify() (fingerprint uint64, err error) {
 	data := s.mapped.data
 	nodes := s.Len()
 	lay := v3LayoutFor(nodes)
-	// Each chunk of records is checksummed, fingerprinted and then
-	// node-checked while it is still in cache. The first bad node is only
-	// remembered: it is reported after the footer and padding have passed,
-	// so precedence is checksum, then footer magic, then padding, then the
-	// first bad node.
+	// Precedence is checksum, then footer magic, then padding, then the
+	// first bad node: a bad node is only remembered until the footer and
+	// padding have passed.
 	crc := checksum.Update(0, checksum.ECMA, data[:lay.recordsOff])
 	fp := checksum.Update(0, checksum.Fingerprint, data[:lay.recordsOff])
-	records := data[lay.recordsOff:lay.recordsEnd]
 	var nodeErr error
-	for lo := 0; lo < nodes; lo += verifyChunkNodes {
-		hi := min(lo+verifyChunkNodes, nodes)
-		chunk := records[lo*v3RecordSize : hi*v3RecordSize]
-		crc = checksum.Update(crc, checksum.ECMA, chunk)
-		fp = checksum.Update(fp, checksum.Fingerprint, chunk)
+	if workers > 1 && nodes >= verifySplitNodes && verifyHelper.busy.TryLock() {
+		mid := nodes / 2 / verifyChunkNodes * verifyChunkNodes
+		verifyHelper.once.Do(startVerifyHelper)
+		j := &verifyHelper.job
+		j.s, j.lo, j.hi = s, mid, nodes
+		j.start <- struct{}{}
+		crc, fp, nodeErr = s.verifyRecords(crc, fp, 0, mid)
+		<-j.done
+		lenB := int64(nodes-mid) * v3RecordSize
+		crc = checksum.Combine(crc, j.crc, lenB, checksum.ECMA)
+		fp = checksum.Combine(fp, j.fp, lenB, checksum.Fingerprint)
 		if nodeErr == nil {
-			nodeErr = checkV3Nodes(s.nodes, s.usable, lo, hi)
+			nodeErr = j.err
 		}
+		*j = verifyJob{start: j.start, done: j.done}
+		verifyHelper.busy.Unlock()
+	} else {
+		crc, fp, nodeErr = s.verifyRecords(crc, fp, 0, nodes)
 	}
 	crc = checksum.Update(crc, checksum.ECMA, data[lay.recordsEnd:lay.footerOff])
 	fp = checksum.Update(fp, checksum.Fingerprint, data[lay.recordsEnd:])
@@ -618,6 +820,56 @@ func (s *Slab) Verify() (fingerprint uint64, err error) {
 		}
 	}
 	return fp, nodeErr
+}
+
+// verifyRecords continues crc (CRC-64/ECMA) and fp (the fingerprint) over
+// the records of nodes [lo, hi), node-checking each chunk while it is
+// still in cache; nodeErr names the first bad node of the range.
+func (s *Slab) verifyRecords(crc, fp uint64, lo, hi int) (_, _ uint64, nodeErr error) {
+	records := s.mapped.data[v3HeaderSize:]
+	for c := lo; c < hi; c += verifyChunkNodes {
+		end := min(c+verifyChunkNodes, hi)
+		chunk := records[c*v3RecordSize : end*v3RecordSize]
+		crc = checksum.Update(crc, checksum.ECMA, chunk)
+		fp = checksum.Update(fp, checksum.Fingerprint, chunk)
+		if nodeErr == nil {
+			nodeErr = checkV3Nodes(s.nodes, s.usable, c, end)
+		}
+	}
+	return crc, fp, nodeErr
+}
+
+// verifyHelper takes the second half of large Verify passes: one
+// goroutine, started on first use and kept for the life of the process,
+// and one preallocated job, so handing it work allocates nothing. busy
+// makes the job exclusive; a Verify that finds it held runs both halves
+// itself.
+var verifyHelper struct {
+	busy sync.Mutex
+	once sync.Once
+	job  verifyJob
+}
+
+// verifyJob is the helper's one job: the records [lo, hi) of s in, their
+// CRCs (each from zero) and first bad node out.
+type verifyJob struct {
+	s       *Slab
+	lo, hi  int
+	crc, fp uint64
+	err     error
+	start   chan struct{}
+	done    chan struct{}
+}
+
+func startVerifyHelper() {
+	j := &verifyHelper.job
+	j.start, j.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		for range j.start {
+			j.crc, j.fp, j.err = j.s.verifyRecords(0, 0, j.lo, j.hi)
+			j.done <- struct{}{}
+		}
+	}()
 }
 
 // MappedSize is the byte size of an mmap-opened slab's artifact (0 for a

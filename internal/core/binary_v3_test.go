@@ -11,10 +11,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"psd/internal/budget"
+	"psd/internal/checksum"
 	"psd/internal/geom"
 )
 
@@ -152,7 +156,8 @@ func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(4096, dom, 83)
 	// Height 6 is ~5.5k nodes, ~220KB per artifact: several 64KB chunks, so
-	// faults land both inside and between destination writes.
+	// faults land both inside and between destination writes, and the
+	// writer runs its pipeline on more than one core.
 	p, err := Build(pts, dom, Config{Kind: Quadtree, Height: 6, Epsilon: 0.5, Seed: 84, PostProcess: true})
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +172,12 @@ func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	if n != int64(total) {
 		t.Fatalf("clean encode reported %d bytes, wrote %d", n, total)
 	}
+	// The header is one destination write, then each chunk of records.
+	chunk := v3HeaderSize + v3ChunkBytes
 	limits := []int{
-		0, 1, 55, 56, 1000,
-		artifactChunk - 1, artifactChunk, artifactChunk + 1,
-		2 * artifactChunk, 3*artifactChunk + 7,
+		0, 1, 55, 56, 63, 64, 65, 1000,
+		chunk - 1, chunk, chunk + 1,
+		chunk + v3ChunkBytes, 3*v3ChunkBytes + 7,
 		total / 2, total - 1,
 	}
 	for _, limit := range limits {
@@ -704,19 +711,289 @@ func TestVerifyPrecedence(t *testing.T) {
 	}
 }
 
-// TestVerifyAllocs pins Verify on a mapped artifact at zero allocations.
+// TestVerifyAllocs pins Verify on a mapped artifact at zero allocations,
+// on one goroutine and in two halves.
 func TestVerifyAllocs(t *testing.T) {
-	raw := verifyFixture(t)
-	s, err := OpenSlabMmap(writeTempArtifact(t, raw))
+	for _, fx := range []struct {
+		name    string
+		raw     []byte
+		workers int
+	}{
+		{"h=6", verifyFixture(t), 1},
+		{"h=8 two halves", bigVerifyFixture(t), 2},
+	} {
+		s, err := OpenSlabMmap(writeTempArtifact(t, fx.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.verify(fx.workers); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Verify allocates %v times per run, want 0", fx.name, allocs)
+		}
+		s.Close()
+	}
+}
+
+// bigVerifyFixture is a mapped v3 artifact above Verify's split grain: an
+// h=8 quadtree has 87381 nodes, split at node 43200.
+func bigVerifyFixture(t testing.TB) []byte {
+	t.Helper()
+	if !mmapSupported || !hostLittleEndian() {
+		t.Skip("no mmap on this platform")
+	}
+	dom := geom.NewRect(0, 0, 64, 64)
+	p, err := Build(randomPoints(4096, dom, 97), dom, Config{Kind: Quadtree, Height: 8, Epsilon: 1, Seed: 98})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.Verify(); err != nil {
+	var buf bytes.Buffer
+	if _, err := p.WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.arena.Nodes); n != 87381 || n < verifySplitNodes {
+		t.Fatalf("fixture has %d nodes; it must reach the split grain %d", n, verifySplitNodes)
+	}
+	return buf.Bytes()
+}
+
+// TestVerifyTwoHalves runs the corruption table on an artifact Verify
+// splits in two: every finding, in either half or in both, must read as
+// the one-goroutine pass reads it, and a clean artifact's fingerprint must
+// be the CRC-64/ISO of the whole file. It also runs the fallback a Verify
+// takes while another holds the helper.
+func TestVerifyTwoHalves(t *testing.T) {
+	raw := bigVerifyFixture(t)
+	const nodes = 87381
+	lay := v3LayoutFor(nodes)
+	mid := nodes / 2 / verifyChunkNodes * verifyChunkNodes
+	rec := func(i, c int) int { return int(lay.recordsOff) + i*v3RecordSize + 8*c }
+	flip := func(data []byte, off int) []byte { return corrupt(data, off, data[off]^0x10) }
+	badFirst := patchV3CRC(putF64(raw, rec(100, 1), math.NaN()))
+	badSecond := patchV3CRC(putF64(raw, rec(mid+5000, 0), math.Inf(1)))
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"clean", raw, ""},
+		{"checksum flip in first half", flip(raw, rec(100, 2)), "core: binary release checksum mismatch"},
+		{"checksum flip in second half", flip(raw, rec(mid+5000, 2)), "core: binary release checksum mismatch"},
+		{"checksum flip at the split", flip(raw, rec(mid, 0)), "core: binary release checksum mismatch"},
+		{"bad node in first half", badFirst, "core: release node 100 has non-finite rect"},
+		{"bad node in second half", badSecond, fmt.Sprintf("core: release node %d has non-finite rect", mid+5000)},
+		{"bad node first in second half", patchV3CRC(putF64(raw, rec(mid, 3), -1)), fmt.Sprintf("core: release node %d has inverted rect", mid)},
+		{"bad nodes in both halves", patchV3CRC(putF64(badSecond, rec(100, 1), math.NaN())), "core: release node 100 has non-finite rect"},
+		{"bad padding", patchV3CRC(corrupt(badSecond, int(lay.recordsEnd), 1)), "core: binary release has non-zero section padding"},
+		{"bad footer", corrupt(badSecond, int(lay.footerOff)+8, 'X'), "core: bad footer magic"},
+	}
+	for _, tc := range cases {
+		s, err := OpenSlabMmap(writeTempArtifact(t, tc.data))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("Verify allocates %v times per run, want 0", allocs)
+		wantFP, wantErr := s.verify(1)
+		fp, err := s.verify(2)
+		verifyHelper.busy.Lock()
+		busyFP, busyErr := s.verify(2)
+		verifyHelper.busy.Unlock()
+		s.Close()
+		if tc.want == "" {
+			if err != nil || wantErr != nil || busyErr != nil {
+				t.Fatalf("%s: Verify = %v (one goroutine %v, helper busy %v)", tc.name, err, wantErr, busyErr)
+			}
+			if sum := checksum.Checksum(tc.data, checksum.Fingerprint); fp != sum || wantFP != sum || busyFP != sum {
+				t.Errorf("%s: fingerprint %#x (one goroutine %#x, helper busy %#x), CRC-64/ISO of the file %#x", tc.name, fp, wantFP, busyFP, sum)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: two-half Verify = %v, want %q", tc.name, err, tc.want)
+		}
+		if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("%s: two-half Verify says %v, one goroutine says %v", tc.name, err, wantErr)
+		}
+		if busyErr == nil || err == nil || busyErr.Error() != err.Error() {
+			t.Errorf("%s: Verify with the helper busy says %v, two halves %v", tc.name, busyErr, err)
+		}
+	}
+}
+
+// TestWriteV3PipelineFailure pins the pipelined writer's failure
+// behaviour. The destination fails (or short-writes) at chunk k only once
+// the encoders have run ahead of it; the writer must report exactly the
+// bytes the destination accepted, hand it nothing after the failure, and
+// leave no encoder goroutine running.
+func TestWriteV3PipelineFailure(t *testing.T) {
+	dom := geom.NewRect(0, 0, 64, 64)
+	// Height 7 is 21845 nodes: 14 chunks.
+	p, err := Build(randomPoints(4096, dom, 95), dom, Config{Kind: Quadtree, Height: 7, Epsilon: 1, Seed: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if _, err := p.WriteBinaryV3(&ref); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	chunks := (len(p.arena.Nodes) + v3ChunkNodes - 1) / v3ChunkNodes
+	for _, k := range []int{0, 1, 5, chunks - 1} {
+		for _, short := range []bool{false, true} {
+			src, err := p.v3Source(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var encoded atomic.Int32
+			encode := src.encode
+			src.encode = func(dst []byte, lo, hi int) {
+				encode(dst, lo, hi)
+				encoded.Add(1)
+			}
+			ahead := int32(min(k+3, chunks))
+			dst := &stallingWriter{failAt: k + 1, short: short, ready: func() bool { return encoded.Load() >= ahead }}
+			before := runtime.NumGoroutine()
+			n, err := writeV3(dst, src, workers)
+			name := fmt.Sprintf("fail at chunk %d (short=%v)", k, short)
+			if !dst.wasReady {
+				t.Fatalf("%s: the encoders never ran %d chunks ahead", name, ahead)
+			}
+			want := errInjected
+			if short {
+				want = io.ErrShortWrite
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("%s: error %v, want %v", name, err, want)
+			}
+			if n != int64(dst.buf.Len()) {
+				t.Errorf("%s: writer reported %d bytes, destination accepted %d", name, n, dst.buf.Len())
+			}
+			if dst.after != 0 {
+				t.Errorf("%s: %d writes reached the destination after its failure", name, dst.after)
+			}
+			if !bytes.HasPrefix(ref.Bytes(), dst.buf.Bytes()) {
+				t.Errorf("%s: the accepted bytes are not a prefix of the artifact", name)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("%s: %d goroutines after the write, %d before", name, got, before)
+			}
+		}
+	}
+}
+
+// stallingWriter accepts writes until its failAt-th (0 being the header),
+// where it waits until ready reports the encoders ahead, accepts half of
+// what it is offered and fails — with errInjected, or with no error when
+// short. It counts the writes it gets after that.
+type stallingWriter struct {
+	failAt   int
+	short    bool
+	ready    func() bool
+	wasReady bool
+	calls    int
+	after    int
+	buf      bytes.Buffer
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	defer func() { w.calls++ }()
+	switch {
+	case w.calls > w.failAt:
+		w.after++
+		return 0, errInjected
+	case w.calls < w.failAt:
+		return w.buf.Write(p)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !w.ready() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	w.wasReady = w.ready()
+	w.buf.Write(p[:len(p)/2])
+	if w.short {
+		return len(p) / 2, nil
+	}
+	return len(p) / 2, errInjected
+}
+
+// TestWriteBinaryV3Allocs bounds a large encode's allocations by a small
+// constant: the ring of chunk buffers, its channels and the workers, but
+// nothing per record, per chunk or per bitset word.
+func TestWriteBinaryV3Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	dom := geom.NewRect(0, 0, 64, 64)
+	// Height 8 is 87381 nodes: 54 chunks and 2731 words per bitset.
+	p, err := Build(randomPoints(4096, dom, 99), dom, Config{Kind: Quadtree, Height: 8, Epsilon: 1, Seed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 64
+	for _, tc := range []struct {
+		name   string
+		encode func(io.Writer) (int64, error)
+	}{{"arena", p.WriteBinaryV3}, {"slab", p.Sealed().WriteBinaryV3}} {
+		if allocs := testing.AllocsPerRun(3, func() {
+			if _, err := tc.encode(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > bound {
+			t.Errorf("%s: WriteBinaryV3 of an h=8 tree allocates %v times, want at most %d", tc.name, allocs, bound)
+		}
+	}
+}
+
+// BenchmarkWriteBinaryV3 encodes an h=10 quadtree's 56 MB artifact from
+// the arena to io.Discard.
+func BenchmarkWriteBinaryV3(b *testing.B) {
+	dom := geom.NewRect(0, 0, 64, 64)
+	p, err := Build(randomPoints(1<<16, dom, 101), dom, Config{Kind: Quadtree, Height: 10, Epsilon: 1, Seed: 102})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := p.WriteBinaryV3(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerify verifies the mapping of an h=10 quadtree's artifact.
+func BenchmarkVerify(b *testing.B) {
+	if !mmapSupported || !hostLittleEndian() {
+		b.Skip("no mmap on this platform")
+	}
+	dom := geom.NewRect(0, 0, 64, 64)
+	p, err := Build(randomPoints(1<<16, dom, 103), dom, Config{Kind: Quadtree, Height: 10, Epsilon: 1, Seed: 104})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "release.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.WriteBinaryV3(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	s, err := OpenSlabMmap(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.Verify(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

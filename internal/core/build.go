@@ -466,12 +466,7 @@ type cellSplitter struct {
 
 func (c *cellSplitter) Split(_ []geom.Point, axis geom.Axis, r geom.Rect, _, _, _ int, sc *median.Scratch) (float64, error) {
 	c.psd.medianCalls.Add(1)
-	nx, ny := c.grid.Dims()
-	n := nx
-	if axis == geom.AxisY {
-		n = ny
-	}
-	return c.grid.MedianAlongBuf(r, axis, sc.Coords(n)), nil
+	return c.grid.MedianAlongBuf(r, axis, sc.Coords(c.grid.MedianBufLen())), nil
 }
 
 // prune implements Section 7: descendants of any node whose estimated count

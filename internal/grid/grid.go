@@ -169,9 +169,12 @@ func (g *Grid) MedianAlong(r geom.Rect, axis geom.Axis) float64 {
 	return g.MedianAlongBuf(r, axis, nil)
 }
 
-// MedianAlongBuf is MedianAlong with a caller-provided slab-mass buffer of
-// length nx (AxisX) or ny (AxisY); a nil or short buf allocates. The grid
-// is immutable after Build, so concurrent calls with distinct buffers are
+// MedianBufLen is the length of the scratch buffer MedianAlongBuf needs.
+func (g *Grid) MedianBufLen() int { return 3 * (g.nx + g.ny) }
+
+// MedianAlongBuf is MedianAlong with a caller-provided scratch buffer of
+// length MedianBufLen(); a nil or short buf allocates. The grid is
+// immutable after Build, so concurrent calls with distinct buffers are
 // safe — the kd-cell tree builder runs one buffer per worker.
 func (g *Grid) MedianAlongBuf(r geom.Rect, axis geom.Axis, buf []float64) float64 {
 	lo, hi := r.Range(axis)
@@ -200,18 +203,46 @@ func (g *Grid) MedianAlongBuf(r geom.Rect, axis geom.Axis, buf []float64) float6
 	x1 := g.clampX(int(math.Ceil((inter.Hi.X-g.domain.Lo.X)/g.cellW)) - 1)
 	y0 := g.clampY(int(math.Floor((inter.Lo.Y - g.domain.Lo.Y) / g.cellH)))
 	y1 := g.clampY(int(math.Ceil((inter.Hi.Y-g.domain.Lo.Y)/g.cellH)) - 1)
+	cols, rows := x1-x0+1, y1-y0+1
+
+	if len(buf) < g.MedianBufLen() {
+		buf = make([]float64, g.MedianBufLen())
+	}
+	mass, buf := buf[:n], buf[n:]
+	clear(mass)
+	// A cell's overlap fraction with r, CellRect(cx, cy).OverlapFraction(r),
+	// is (ix·iy)/(cw·ch): its width and its overlap with r along x depend
+	// on the column alone, along y on the row alone. They are taken once
+	// per column and per row, by the float operations OverlapFraction
+	// performs, so every fraction is bit-for-bit the one it returns. An
+	// overlap of 0 marks a column or row that misses r, whose cells
+	// OverlapFraction gives 0.
+	cw, ix := buf[:cols], buf[cols:2*cols]
+	ch, iy := buf[2*cols:2*cols+rows], buf[2*cols+rows:2*cols+2*rows]
+	for cx := x0; cx <= x1; cx++ {
+		c := g.CellRect(cx, y0)
+		cw[cx-x0], ix[cx-x0] = overlap(c.Lo.X, c.Hi.X, r.Lo.X, r.Hi.X)
+	}
+	for cy := y0; cy <= y1; cy++ {
+		c := g.CellRect(x0, cy)
+		ch[cy-y0], iy[cy-y0] = overlap(c.Lo.Y, c.Hi.Y, r.Lo.Y, r.Hi.Y)
+	}
 
 	// Accumulate the (overlap-weighted, floored) noisy mass per slab.
-	mass := buf
-	if len(mass) < n {
-		mass = make([]float64, n)
-	}
-	mass = mass[:n]
-	clear(mass)
 	var total float64
 	for cy := y0; cy <= y1; cy++ {
+		if iy[cy-y0] == 0 {
+			continue
+		}
 		for cx := x0; cx <= x1; cx++ {
-			frac := g.CellRect(cx, cy).OverlapFraction(r)
+			if ix[cx-x0] == 0 {
+				continue
+			}
+			a := cw[cx-x0] * ch[cy-y0]
+			if a <= 0 {
+				continue
+			}
+			frac := ix[cx-x0] * iy[cy-y0] / a
 			if frac <= 0 {
 				continue
 			}
@@ -244,6 +275,17 @@ func (g *Grid) MedianAlongBuf(r geom.Rect, axis geom.Axis, buf []float64) float6
 		cum += mass[i]
 	}
 	return hi
+}
+
+// overlap returns the width of the cell span [lo, hi) and, as Rect.Intersect
+// and Rect.Area compute it, the width of its overlap with [rlo, rhi) — 0
+// when Intersect would report no overlap.
+func overlap(lo, hi, rlo, rhi float64) (width, inter float64) {
+	ilo, ihi := math.Max(lo, rlo), math.Min(hi, rhi)
+	if ilo >= ihi {
+		return hi - lo, 0
+	}
+	return hi - lo, ihi - ilo
 }
 
 func clamp(v, lo, hi float64) float64 {

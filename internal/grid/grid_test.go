@@ -253,3 +253,136 @@ func TestFineGridNoiseSwampsSparseData(t *testing.T) {
 			absErr, truth)
 	}
 }
+
+// randomRect draws a rectangle around dom: corners may fall outside it, on
+// a cell boundary, or coincide (a degenerate rect).
+func randomRect(src *rng.Source, g *Grid) geom.Rect {
+	coord := func(lo, hi, cell float64) float64 {
+		switch src.Intn(4) {
+		case 0: // a cell boundary
+			return lo + float64(src.Intn(int((hi-lo)/cell)+1))*cell
+		case 1: // past the domain
+			return src.UniformIn(lo-(hi-lo)/4, hi+(hi-lo)/4)
+		}
+		return src.UniformIn(lo, hi)
+	}
+	d := g.Domain()
+	x0, x1 := coord(d.Lo.X, d.Hi.X, g.cellW), coord(d.Lo.X, d.Hi.X, g.cellW)
+	y0, y1 := coord(d.Lo.Y, d.Hi.Y, g.cellH), coord(d.Lo.Y, d.Hi.Y, g.cellH)
+	if src.Intn(10) == 0 {
+		x1 = x0
+	}
+	return geom.Rect{Lo: geom.Point{X: min(x0, x1), Y: min(y0, y1)}, Hi: geom.Point{X: max(x0, x1), Y: max(y0, y1)}}
+}
+
+// TestOverlapMatchesOverlapFraction pins the per-column and per-row
+// factoring of MedianAlongBuf bit for bit: (ix·iy)/(cw·ch) from overlap is
+// CellRect(cx, cy).OverlapFraction(r) for every cell of random rects,
+// zero exactly where a column or row misses r.
+func TestOverlapMatchesOverlapFraction(t *testing.T) {
+	src := rng.New(8)
+	for trial := 0; trial < 20; trial++ {
+		x, y := src.UniformIn(-50, 50), src.UniformIn(-50, 50)
+		dom := geom.NewRect(x, y, x+src.UniformIn(0.1, 300), y+src.UniformIn(0.1, 300))
+		g, err := Build(nil, dom, 1+src.Intn(40), 1+src.Intn(40), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 50; q++ {
+			r := randomRect(src, g)
+			for cy := 0; cy < g.ny; cy++ {
+				for cx := 0; cx < g.nx; cx++ {
+					c := g.CellRect(cx, cy)
+					want := c.OverlapFraction(r)
+					cw, ix := overlap(c.Lo.X, c.Hi.X, r.Lo.X, r.Hi.X)
+					ch, iy := overlap(c.Lo.Y, c.Hi.Y, r.Lo.Y, r.Hi.Y)
+					got := 0.0
+					if a := cw * ch; ix != 0 && iy != 0 && a > 0 {
+						got = ix * iy / a
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("cell (%d,%d) of %v against %v: factored fraction %v, OverlapFraction %v", cx, cy, c, r, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// medianAlongRef is MedianAlongBuf as it was before the overlaps were
+// factored per column and row: one OverlapFraction per cell.
+func medianAlongRef(g *Grid, r geom.Rect, axis geom.Axis) float64 {
+	lo, hi := r.Range(axis)
+	if hi <= lo {
+		return lo
+	}
+	n, cellLo, cellSize := g.nx, g.domain.Lo.X, g.cellW
+	if axis == geom.AxisY {
+		n, cellLo, cellSize = g.ny, g.domain.Lo.Y, g.cellH
+	}
+	inter, ok := g.domain.Intersect(r)
+	if !ok {
+		return (lo + hi) / 2
+	}
+	x0 := g.clampX(int(math.Floor((inter.Lo.X - g.domain.Lo.X) / g.cellW)))
+	x1 := g.clampX(int(math.Ceil((inter.Hi.X-g.domain.Lo.X)/g.cellW)) - 1)
+	y0 := g.clampY(int(math.Floor((inter.Lo.Y - g.domain.Lo.Y) / g.cellH)))
+	y1 := g.clampY(int(math.Ceil((inter.Hi.Y-g.domain.Lo.Y)/g.cellH)) - 1)
+	mass := make([]float64, n)
+	var total float64
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			frac := g.CellRect(cx, cy).OverlapFraction(r)
+			if frac <= 0 {
+				continue
+			}
+			c := max(g.noisy[cy*g.nx+cx], 0)
+			idx := cx
+			if axis == geom.AxisY {
+				idx = cy
+			}
+			mass[idx] += frac * c
+			total += frac * c
+		}
+	}
+	if total <= 0 {
+		return (lo + hi) / 2
+	}
+	target := total / 2
+	var cum float64
+	for i := 0; i < n; i++ {
+		if cum+mass[i] >= target {
+			frac := 0.5
+			if mass[i] > 0 {
+				frac = (target - cum) / mass[i]
+			}
+			return clamp(cellLo+(float64(i)+frac)*cellSize, lo, hi)
+		}
+		cum += mass[i]
+	}
+	return hi
+}
+
+// TestMedianAlongMatchesReference compares MedianAlongBuf with the
+// per-cell OverlapFraction reference bit for bit on noisy grids, reusing
+// one buffer across calls as the kd-cell builder does.
+func TestMedianAlongMatchesReference(t *testing.T) {
+	src := rng.New(9)
+	for trial := 0; trial < 10; trial++ {
+		dom := geom.NewRect(0, 0, src.UniformIn(1, 200), src.UniformIn(1, 200))
+		g, err := Build(uniformPoints(2000, dom, int64(trial)), dom, 1+src.Intn(60), 1+src.Intn(60), 0.5, rng.New(int64(10+trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, g.MedianBufLen())
+		for q := 0; q < 200; q++ {
+			r := randomRect(src, g)
+			for _, ax := range []geom.Axis{geom.AxisX, geom.AxisY} {
+				got, want := g.MedianAlongBuf(r, ax, buf), medianAlongRef(g, r, ax)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v along %v: MedianAlongBuf %v, reference %v", r, ax, got, want)
+				}
+			}
+		}
+	}
+}
